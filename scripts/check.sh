@@ -3,9 +3,11 @@
 # chaos drills, smoke benches, the determinism audit and the cache
 # stress test.
 #
-# Tools that are not installed are skipped with a warning instead of
-# failing, so the script works in minimal offline environments; the
-# pytest tier-1 run is mandatory.
+# Gates whose tool (ruff, mypy, pytest-cov) is not installed are skipped,
+# so the script works in minimal offline environments; the pytest tier-1
+# run is mandatory.  The script ends with one line per gate: passed,
+# FAILED, or NOT VERIFIED (skipped for a missing tool).  Only failures
+# make it exit non-zero.
 #
 # Usage: scripts/check.sh  (from the repository root)
 
@@ -13,6 +15,8 @@ set -u
 cd "$(dirname "$0")/.."
 
 failures=0
+skipped=0
+summary=()
 
 run_gate() {
     local label="$1"
@@ -20,37 +24,50 @@ run_gate() {
     echo "==== ${label}: $*"
     if "$@"; then
         echo "==== ${label}: OK"
+        summary+=("passed        ${label}")
     else
         echo "==== ${label}: FAILED"
+        summary+=("FAILED        ${label}")
         failures=$((failures + 1))
     fi
 }
 
-if command -v ruff >/dev/null 2>&1; then
-    run_gate "ruff" ruff check src tests scripts benchmarks examples
-    # The analysis package is held to a stricter bar: pylint-parity and
-    # ruff-specific rules are hard failures there, warn-only elsewhere.
-    run_gate "ruff (analysis, strict)" ruff check --select PL,RUF src/repro/analysis
-    run_gate "ruff (obs, strict)" ruff check --select PL,RUF src/repro/obs
-    run_gate "ruff (kernels, strict)" ruff check --select PL,RUF src/repro/kernels
-    run_gate "ruff (serve, strict)" ruff check --select PL,RUF src/repro/serve
-    # Promoted from warn-only: the whole library now holds the
-    # pylint-parity + ruff-specific bar, not just the newer subsystems.
-    run_gate "ruff (library, strict)" ruff check --select PL,RUF src/repro
-else
-    echo "warning: ruff not installed; skipping style lint" >&2
-fi
+skip_gate() {
+    local label="$1" reason="$2"
+    echo "==== ${label}: NOT VERIFIED (${reason})"
+    summary+=("NOT VERIFIED  ${label} (${reason})")
+    skipped=$((skipped + 1))
+}
 
-if command -v mypy >/dev/null 2>&1; then
-    run_gate "mypy" mypy src/repro
-    # New analysis/observability modules carry full annotations; keep them strict.
-    run_gate "mypy (analysis, strict)" mypy --strict src/repro/analysis
-    run_gate "mypy (obs, strict)" mypy --strict src/repro/obs
-    run_gate "mypy (kernels, strict)" mypy --strict src/repro/kernels
-    run_gate "mypy (serve, strict)" mypy --strict src/repro/serve
-else
-    echo "warning: mypy not installed; skipping type check" >&2
-fi
+# tool_gate TOOL LABEL CMD...: run_gate when TOOL is installed, otherwise
+# report the gate NOT VERIFIED, so every gate is declared exactly once.
+tool_gate() {
+    local tool="$1" label="$2"
+    shift 2
+    if command -v "${tool}" >/dev/null 2>&1; then
+        run_gate "${label}" "$@"
+    else
+        skip_gate "${label}" "${tool} not installed"
+    fi
+}
+
+tool_gate ruff "ruff" ruff check src tests scripts benchmarks examples
+# The analysis package is held to a stricter bar: pylint-parity and
+# ruff-specific rules are hard failures there, warn-only elsewhere.
+tool_gate ruff "ruff (analysis, strict)" ruff check --select PL,RUF src/repro/analysis
+tool_gate ruff "ruff (obs, strict)" ruff check --select PL,RUF src/repro/obs
+tool_gate ruff "ruff (kernels, strict)" ruff check --select PL,RUF src/repro/kernels
+tool_gate ruff "ruff (serve, strict)" ruff check --select PL,RUF src/repro/serve
+# Promoted from warn-only: the whole library now holds the
+# pylint-parity + ruff-specific bar, not just the newer subsystems.
+tool_gate ruff "ruff (library, strict)" ruff check --select PL,RUF src/repro
+
+tool_gate mypy "mypy" mypy src/repro
+# New analysis/observability modules carry full annotations; keep them strict.
+tool_gate mypy "mypy (analysis, strict)" mypy --strict src/repro/analysis
+tool_gate mypy "mypy (obs, strict)" mypy --strict src/repro/obs
+tool_gate mypy "mypy (kernels, strict)" mypy --strict src/repro/kernels
+tool_gate mypy "mypy (serve, strict)" mypy --strict src/repro/serve
 
 if python -c "import pytest_cov" >/dev/null 2>&1; then
     # Coverage-gated tier-1 run.  COV_FAIL_UNDER pins the seed baseline;
@@ -59,7 +76,7 @@ if python -c "import pytest_cov" >/dev/null 2>&1; then
         --cov=repro --cov-report=term-missing:skip-covered \
         --cov-fail-under="${COV_FAIL_UNDER:-80}"
 else
-    echo "warning: pytest-cov not installed; running tier-1 without coverage gate" >&2
+    skip_gate "coverage (tier-1 >= ${COV_FAIL_UNDER:-80}%)" "pytest-cov not installed"
     run_gate "pytest (tier-1)" env PYTHONPATH=src python -m pytest -x -q
 fi
 
@@ -261,12 +278,6 @@ run_gate "docs drift (DT-rule reference)" env PYTHONPATH=src \
 run_gate "docs drift (DX-rule + contracts reference)" env PYTHONPATH=src \
     python -m pytest -x -q tests/analysis/portability/test_docs_drift.py
 
-if [ "${failures}" -ne 0 ]; then
-    echo "${failures} gate(s) failed"
-    exit 1
-fi
-echo "all gates passed"
-
 # Distributed-fabric smoke bench: every executor topology (serial, pool,
 # file-queue) must produce bit-identical grids, and the worker-kill
 # chaos drill must recover via a lease requeue.
@@ -322,3 +333,11 @@ rm -rf "${fq_dir}"
 # guide must keep naming the surfaces it documents.
 run_gate "docs drift (distributed fabric)" env PYTHONPATH=src \
     python -m pytest -x -q tests/parallel/test_distributed_docs.py
+
+echo
+echo "==== summary: ${#summary[@]} gates, $((${#summary[@]} - failures - skipped)) passed," \
+    "${failures} failed, ${skipped} not verified"
+printf '  %s\n' "${summary[@]}"
+if [ "${failures}" -ne 0 ]; then
+    exit 1
+fi

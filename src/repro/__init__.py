@@ -40,12 +40,19 @@ Quickstart
 >>> designs = fw.optimize(x, beta=4.0).designs  # doctest: +SKIP
 """
 
+from typing import Any
+
 from . import obs
-from .config import DEFAULT_SEED, TableISettings, TimingConfig
-from .errors import ReproError
-from .fabric import CYCLONE_III_3C16, FPGADevice, OperatingConditions, make_device
-from .framework import OptimizationFramework
-from .circuits import Domain
+from ._lazy import load_export
+
+_EXPORTS = (
+    (".config", ("DEFAULT_SEED", "TableISettings", "TimingConfig")),
+    (".errors", ("ReproError",)),
+    (".fabric.device", ("CYCLONE_III_3C16", "FPGADevice", "make_device")),
+    (".fabric.conditions", ("OperatingConditions",)),
+    (".framework", ("OptimizationFramework",)),
+    (".circuits.domains", ("Domain",)),
+)
 
 __version__ = "1.0.0"
 
@@ -63,3 +70,7 @@ __all__ = [
     "obs",
     "__version__",
 ]
+
+
+def __getattr__(name: str) -> Any:
+    return load_export(__name__, _EXPORTS, name)

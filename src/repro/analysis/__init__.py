@@ -38,49 +38,51 @@ hazards — the ``DTnnn`` rules behind ``repro audit`` — and
 (``repro audit --family dx`` / ``--contracts``).
 """
 
-from .context import AnalysisContext
-from .dataflow import (
-    BIT_ONE,
-    BIT_TOP,
-    BIT_ZERO,
-    DataflowResult,
-    IntRange,
-    ProbeReport,
-    analyze_dataflow,
-    probe_dataflow,
-)
-from .diagnostics import Diagnostic, LintReport, Severity
-from .equivalence import (
-    EquivalenceCertificate,
-    prove_multiplier,
-    prove_multiplier_family,
-)
-from .linter import LintConfig, LintWarning, check_netlist, lint_netlist
-from .passes import REGISTRY, Finding, LintRule, rule_table, rule_table_markdown
-from .portability import (
-    DX_REGISTRY,
-    DXRule,
-    audit_portability,
-    dx_rule_table_markdown,
-    verify_contracts,
-    wire_contracts_markdown,
-)
-from .sanitizer import (
-    AuditFinding,
-    AuditReport,
-    DT_REGISTRY,
-    DTRule,
-    ModuleIndex,
-    audit_paths,
-    build_module_index,
-    dt_rule_table_markdown,
-    effect_catalogue_markdown,
-)
-from .sensitization import (
-    CoefficientTimingProfile,
-    agreement_report,
-    coefficient_timing_profile,
-    sensitized_sta,
+from typing import Any
+
+from .._lazy import load_export
+
+_EXPORTS = (
+    (".context", ("AnalysisContext",)),
+    (".dataflow", (
+        "BIT_ONE",
+        "BIT_TOP",
+        "BIT_ZERO",
+        "DataflowResult",
+        "IntRange",
+        "ProbeReport",
+        "analyze_dataflow",
+        "probe_dataflow",
+    )),
+    (".diagnostics", ("Diagnostic", "LintReport", "Severity")),
+    (".equivalence", ("EquivalenceCertificate", "prove_multiplier", "prove_multiplier_family")),
+    (".linter", ("LintConfig", "LintWarning", "check_netlist", "lint_netlist")),
+    (".passes", ("REGISTRY", "Finding", "LintRule", "rule_table", "rule_table_markdown")),
+    (".portability", (
+        "DX_REGISTRY",
+        "DXRule",
+        "audit_portability",
+        "dx_rule_table_markdown",
+        "verify_contracts",
+        "wire_contracts_markdown",
+    )),
+    (".sanitizer", (
+        "AuditFinding",
+        "AuditReport",
+        "DT_REGISTRY",
+        "DTRule",
+        "ModuleIndex",
+        "audit_paths",
+        "build_module_index",
+        "dt_rule_table_markdown",
+        "effect_catalogue_markdown",
+    )),
+    (".sensitization", (
+        "CoefficientTimingProfile",
+        "agreement_report",
+        "coefficient_timing_profile",
+        "sensitized_sta",
+    )),
 )
 
 __all__ = [
@@ -128,3 +130,7 @@ __all__ = [
     "verify_contracts",
     "wire_contracts_markdown",
 ]
+
+
+def __getattr__(name: str) -> Any:
+    return load_export(__name__, _EXPORTS, name)

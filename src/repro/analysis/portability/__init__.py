@@ -25,30 +25,36 @@ pragma grammar (``# repro: allow[DXnnn] -- reason``) and are policed by
 the shared ``DT000`` meta-rule.
 """
 
-from .auditor import audit_portability
-from .catalog import (
-    ARTEFACT_ENTRY_POINTS,
-    BOUNDARY_TYPES,
-    CACHE_KEY_CONTRACTS,
-    DX_ALLOWANCES,
-    CacheKeyContract,
-)
-from .contracts import (
-    CONTRACTS,
-    FROZEN_CONTRACTS,
-    ContractDrift,
-    WireContract,
-    contract_shapes,
-    fingerprint,
-    verify_contracts,
-    wire_contracts_markdown,
-)
-from .rules import (
-    DX_REGISTRY,
-    DXRule,
-    dx_rule_for_effect,
-    dx_rule_table,
-    dx_rule_table_markdown,
+from typing import Any
+
+from ..._lazy import load_export
+
+_EXPORTS = (
+    (".auditor", ("audit_portability",)),
+    (".catalog", (
+        "ARTEFACT_ENTRY_POINTS",
+        "BOUNDARY_TYPES",
+        "CACHE_KEY_CONTRACTS",
+        "DX_ALLOWANCES",
+        "CacheKeyContract",
+    )),
+    (".contracts", (
+        "CONTRACTS",
+        "FROZEN_CONTRACTS",
+        "ContractDrift",
+        "WireContract",
+        "contract_shapes",
+        "fingerprint",
+        "verify_contracts",
+        "wire_contracts_markdown",
+    )),
+    (".rules", (
+        "DX_REGISTRY",
+        "DXRule",
+        "dx_rule_for_effect",
+        "dx_rule_table",
+        "dx_rule_table_markdown",
+    )),
 )
 
 __all__ = [
@@ -72,3 +78,7 @@ __all__ = [
     "verify_contracts",
     "wire_contracts_markdown",
 ]
+
+
+def __getattr__(name: str) -> Any:
+    return load_export(__name__, _EXPORTS, name)

@@ -22,22 +22,28 @@ detector enabled by ``REPRO_SANITIZE=1`` — lives in
 :mod:`repro.parallel.sanitize`.
 """
 
-from .auditor import ModuleIndex, audit_paths, build_module_index, discover_files
-from .effects import (
-    ALLOWANCES,
-    EFFECT_CATALOG,
-    ENTRY_POINTS,
-    Allowance,
-    EffectSpec,
-    effect_catalogue_markdown,
-)
-from .report import AuditFinding, AuditReport, Suppression
-from .rules import (
-    DT_REGISTRY,
-    DTRule,
-    dt_rule_table,
-    dt_rule_table_markdown,
-    rule_for_effect,
+from typing import Any
+
+from ..._lazy import load_export
+
+_EXPORTS = (
+    (".auditor", ("ModuleIndex", "audit_paths", "build_module_index", "discover_files")),
+    (".effects", (
+        "ALLOWANCES",
+        "EFFECT_CATALOG",
+        "ENTRY_POINTS",
+        "Allowance",
+        "EffectSpec",
+        "effect_catalogue_markdown",
+    )),
+    (".report", ("AuditFinding", "AuditReport", "Suppression")),
+    (".rules", (
+        "DT_REGISTRY",
+        "DTRule",
+        "dt_rule_table",
+        "dt_rule_table_markdown",
+        "rule_for_effect",
+    )),
 )
 
 __all__ = [
@@ -60,3 +66,7 @@ __all__ = [
     "effect_catalogue_markdown",
     "rule_for_effect",
 ]
+
+
+def __getattr__(name: str) -> Any:
+    return load_export(__name__, _EXPORTS, name)

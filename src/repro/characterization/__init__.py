@@ -12,17 +12,23 @@ aggregates the observed output errors into the records the error model
 (``repro.models.error_model``) is built from.
 """
 
-from .stream import InputStreamBRAM, OutputStreamBRAM, M9K_BITS
-from .fsm import CharacterizationFSM, FSMState
-from .circuit import CharacterizationCircuit, TestRun
-from .harness import (
-    CharacterizationConfig,
-    PlannedSweep,
-    characterize_multiplier,
-    error_trace,
-    plan_characterization,
+from typing import Any
+
+from .._lazy import load_export
+
+_EXPORTS = (
+    (".stream", ("InputStreamBRAM", "OutputStreamBRAM", "M9K_BITS")),
+    (".fsm", ("CharacterizationFSM", "FSMState")),
+    (".circuit", ("CharacterizationCircuit", "TestRun")),
+    (".harness", (
+        "CharacterizationConfig",
+        "PlannedSweep",
+        "characterize_multiplier",
+        "error_trace",
+        "plan_characterization",
+    )),
+    (".results", ("CharacterizationRecord", "CharacterizationResult")),
 )
-from .results import CharacterizationRecord, CharacterizationResult
 
 __all__ = [
     "InputStreamBRAM",
@@ -40,3 +46,7 @@ __all__ = [
     "CharacterizationRecord",
     "CharacterizationResult",
 ]
+
+
+def __getattr__(name: str) -> Any:
+    return load_export(__name__, _EXPORTS, name)

@@ -37,7 +37,7 @@ import numpy as np
 from ..config import ResilienceSettings, get_resilience_settings
 from ..errors import CharacterizationError
 from ..fabric.device import FPGADevice
-from ..faults import FaultPlan
+from ..faults.plan import FaultPlan
 from ..obs import runtime as obs
 from ..parallel.cache import PlacedDesignCache, multiplier_netlist
 from ..parallel.engine import Shard, SweepPlan, run_sweep

@@ -10,9 +10,15 @@ The paper evaluates every design in three domains (Sec. VI):
   goes through the placed, over-clocked multiplier timing simulation.
 """
 
-from .domains import Domain
-from .datapath import ProjectionDatapath
-from .executor import DomainEvaluation, evaluate_design, evaluate_domains
+from typing import Any
+
+from .._lazy import load_export
+
+_EXPORTS = (
+    (".domains", ("Domain",)),
+    (".datapath", ("ProjectionDatapath",)),
+    (".executor", ("DomainEvaluation", "evaluate_design", "evaluate_domains")),
+)
 
 __all__ = [
     "Domain",
@@ -21,3 +27,7 @@ __all__ = [
     "evaluate_design",
     "evaluate_domains",
 ]
+
+
+def __getattr__(name: str) -> Any:
+    return load_export(__name__, _EXPORTS, name)

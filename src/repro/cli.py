@@ -43,7 +43,8 @@ from typing import Any
 
 import numpy as np
 
-from .analysis import LintConfig, lint_netlist, rule_table
+from .analysis.linter import LintConfig, lint_netlist
+from .analysis.passes import rule_table
 from .config import KERNEL_MODES, REPRO_KERNEL_ENV, set_kernel_mode
 from .eval import figures, tables
 from .eval.context import ExperimentContext
@@ -241,7 +242,10 @@ def _parse_assumption(spec: str) -> tuple[str, "int | tuple[int, int]"]:
 
 def _analyze_main(argv: list[str]) -> int:
     """``analyze`` subcommand: word-level dataflow / proof / timing report."""
-    from .analysis import Severity, analyze_dataflow, lint_netlist, prove_multiplier
+    from .analysis.dataflow import analyze_dataflow
+    from .analysis.diagnostics import Severity
+    from .analysis.equivalence import prove_multiplier
+    from .analysis.linter import lint_netlist
     from .analysis.sensitization import sensitized_sta
 
     parser = argparse.ArgumentParser(
@@ -319,7 +323,7 @@ def _analyze_main(argv: list[str]) -> int:
 
     if args.sta:
         try:
-            from .fabric import make_device
+            from .fabric.device import make_device
             from .synthesis.flow import SynthesisFlow
 
             placed = SynthesisFlow(make_device(args.seed)).run(
@@ -375,7 +379,7 @@ def _analyze_main(argv: list[str]) -> int:
 
 def _faults_main(argv: list[str]) -> int:
     """``faults`` subcommand: describe or validate a chaos fault plan."""
-    from .faults import FAULT_KINDS, REPRO_FAULTS_ENV, FaultPlan
+    from .faults.plan import FAULT_KINDS, REPRO_FAULTS_ENV, FaultPlan
 
     parser = argparse.ArgumentParser(
         prog="repro-experiment faults",
@@ -518,8 +522,8 @@ def _cache_main(argv: list[str]) -> int:
 
 def _audit_main(argv: list[str]) -> int:
     """``audit`` subcommand: determinism + portability audit of repro source."""
-    from .analysis.portability import dx_rule_table_markdown
-    from .analysis.sanitizer import dt_rule_table_markdown
+    from .analysis.portability.rules import dx_rule_table_markdown
+    from .analysis.sanitizer.rules import dt_rule_table_markdown
     from .cli_flow import export_telemetry, resolve_telemetry_paths
     from .obs import runtime as obs
 
@@ -596,8 +600,9 @@ def _audit_main(argv: list[str]) -> int:
 
 def _run_audit(args: argparse.Namespace, obs: Any) -> int:
     """Body of the ``audit`` subcommand, run under any requested telemetry."""
-    from .analysis.portability import audit_portability, verify_contracts
-    from .analysis.sanitizer import audit_paths, build_module_index
+    from .analysis.portability.auditor import audit_portability
+    from .analysis.portability.contracts import verify_contracts
+    from .analysis.sanitizer.auditor import audit_paths, build_module_index
 
     paths = args.paths or ["src/repro"]
     disabled = frozenset(args.disable)
@@ -636,12 +641,9 @@ def _run_audit(args: argparse.Namespace, obs: Any) -> int:
 def _obs_main(argv: list[str]) -> int:
     """``obs`` subcommand: telemetry reference and artefact inspection."""
     from .errors import ObservabilityError
-    from .obs import (
-        load_metrics_snapshot,
-        load_trace_jsonl,
-        summarize_spans,
-        telemetry_reference_markdown,
-    )
+    from .obs.metrics import load_metrics_snapshot
+    from .obs.spec import telemetry_reference_markdown
+    from .obs.trace import load_trace_jsonl, summarize_spans
 
     parser = argparse.ArgumentParser(
         prog="repro-experiment obs",

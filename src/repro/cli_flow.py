@@ -45,17 +45,11 @@ from .config import (
     set_kernel_mode,
 )
 from .errors import ConfigError, SweepFailedError
-from .eval.report import render_table
-from .fabric.device import make_device
 from .obs import runtime as obs
-from .parallel.executors import EXECUTOR_NAMES
-from .stages import (
-    characterize_workspace,
-    evaluate_workspace,
-    fit_area_workspace,
-    optimize_workspace,
-)
-from .workspace import Workspace
+from .parallel.jobs import EXECUTOR_NAMES
+
+# Each subcommand imports the stage code it runs, so a fresh process
+# (`status`, `--help`, one stage of a shell pipeline) loads only that.
 
 __all__ = ["export_telemetry", "main", "resolve_telemetry_paths"]
 
@@ -71,6 +65,9 @@ def _add_jobs_argument(parser: argparse.ArgumentParser) -> None:
 
 
 def _cmd_init(args: argparse.Namespace) -> int:
+    from .fabric.device import make_device
+    from .workspace import Workspace
+
     ws = Workspace(args.workspace)
     settings = TableISettings().scaled(args.scale)
     device = make_device(args.serial)
@@ -116,6 +113,9 @@ def _print_characterize_progress(event: dict) -> None:
 
 
 def _cmd_characterize(args: argparse.Namespace) -> int:
+    from .stages import characterize_workspace
+    from .workspace import Workspace
+
     ws = Workspace(args.workspace)
     characterize_workspace(
         ws,
@@ -128,6 +128,9 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
 
 
 def _cmd_fit_area(args: argparse.Namespace) -> int:
+    from .stages import fit_area_workspace
+    from .workspace import Workspace
+
     ws = Workspace(args.workspace)
     model, path = fit_area_workspace(ws)
     print(f"fitted area model (relative sigma {model.residual_sigma:.1%}) -> {path}")
@@ -135,6 +138,9 @@ def _cmd_fit_area(args: argparse.Namespace) -> int:
 
 
 def _cmd_optimize(args: argparse.Namespace) -> int:
+    from .stages import optimize_workspace
+    from .workspace import Workspace
+
     ws = Workspace(args.workspace)
     result, path = optimize_workspace(ws, args.name, args.beta, jobs=args.jobs)
     print(f"Algorithm 1 produced {len(result.designs)} designs "
@@ -145,6 +151,10 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
+    from .eval.report import render_table
+    from .stages import evaluate_workspace
+    from .workspace import Workspace
+
     ws = Workspace(args.workspace)
     domain = Domain(args.domain)
     rows = evaluate_workspace(ws, args.name, domain, jobs=args.jobs)
@@ -157,6 +167,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_status(args: argparse.Namespace) -> int:
+    from .workspace import Workspace
+
     ws = Workspace(args.workspace)
     meta = ws.device().report()
     print(f"workspace: {ws.root}")

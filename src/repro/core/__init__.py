@@ -14,18 +14,24 @@
 * :mod:`repro.core.design` — the design records everything else consumes.
 """
 
-from .design import DesignPoint, LinearProjectionDesign
-from .klt import fit_klt, fit_klt_deflation, klt_reference_design
-from .quantize import (
-    dequantize_magnitudes,
-    quantize_coefficients,
-    quantize_data,
-    QuantizedMatrix,
+from typing import Any
+
+from .._lazy import load_export
+
+_EXPORTS = (
+    (".design", ("DesignPoint", "LinearProjectionDesign")),
+    (".klt", ("fit_klt", "fit_klt_deflation", "klt_reference_design")),
+    (".quantize", (
+        "dequantize_magnitudes",
+        "quantize_coefficients",
+        "quantize_data",
+        "QuantizedMatrix",
+    )),
+    (".bayesian", ("GibbsConfig", "sample_projection_vector", "SampledProjection")),
+    (".objective", ("objective_t", "overclocking_variance", "reconstruction_mse")),
+    (".pareto", ("pareto_front", "select_q_bins")),
+    (".optimizer", ("OptimizerConfig", "OptimizationResult", "optimize_designs")),
 )
-from .bayesian import GibbsConfig, sample_projection_vector, SampledProjection
-from .objective import objective_t, overclocking_variance, reconstruction_mse
-from .pareto import pareto_front, select_q_bins
-from .optimizer import OptimizerConfig, OptimizationResult, optimize_designs
 
 __all__ = [
     "DesignPoint",
@@ -49,3 +55,7 @@ __all__ = [
     "OptimizationResult",
     "optimize_designs",
 ]
+
+
+def __getattr__(name: str) -> Any:
+    return load_export(__name__, _EXPORTS, name)

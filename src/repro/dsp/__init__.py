@@ -10,7 +10,17 @@ and over-clocking model, plus a characterisation harness compatible with
 the error-model machinery.
 """
 
-from .block import DspBlockModel, DspCaptureResult
-from .characterize import characterize_dsp_multiplier
+from typing import Any
+
+from .._lazy import load_export
+
+_EXPORTS = (
+    (".block", ("DspBlockModel", "DspCaptureResult")),
+    (".characterize", ("characterize_dsp_multiplier",)),
+)
 
 __all__ = ["DspBlockModel", "DspCaptureResult", "characterize_dsp_multiplier"]
+
+
+def __getattr__(name: str) -> Any:
+    return load_export(__name__, _EXPORTS, name)

@@ -6,10 +6,16 @@ numeric rows/series the corresponding paper figure plots, and
 suite wraps these drivers one-to-one.
 """
 
-from .context import ExperimentContext
-from .figures import fig1, fig4, fig5, fig6, fig7, fig8, fig9, fig10, fig11
-from .tables import runtime_model_table, table1
-from .report import render_series, render_table
+from typing import Any
+
+from .._lazy import load_export
+
+_EXPORTS = (
+    (".context", ("ExperimentContext",)),
+    (".figures", ("fig1", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11")),
+    (".tables", ("runtime_model_table", "table1")),
+    (".report", ("render_series", "render_table")),
+)
 
 __all__ = [
     "ExperimentContext",
@@ -27,3 +33,7 @@ __all__ = [
     "render_series",
     "render_table",
 ]
+
+
+def __getattr__(name: str) -> Any:
+    return load_export(__name__, _EXPORTS, name)

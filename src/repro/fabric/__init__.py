@@ -11,12 +11,18 @@ what makes per-device, per-location characterisation (paper Sec. III)
 worthwhile.
 """
 
-from .conditions import OperatingConditions
-from .device import CYCLONE_III_3C16, DeviceFamily, FPGADevice, make_device
-from .jitter import JitterModel
-from .pll import PLL, PLLConfig
-from .routing import RoutingModel
-from .variation import VariationConfig, VariationField, generate_variation_field
+from typing import Any
+
+from .._lazy import load_export
+
+_EXPORTS = (
+    (".conditions", ("OperatingConditions",)),
+    (".device", ("CYCLONE_III_3C16", "DeviceFamily", "FPGADevice", "make_device")),
+    (".jitter", ("JitterModel",)),
+    (".pll", ("PLL", "PLLConfig")),
+    (".routing", ("RoutingModel",)),
+    (".variation", ("VariationConfig", "VariationField", "generate_variation_field")),
+)
 
 __all__ = [
     "CYCLONE_III_3C16",
@@ -32,3 +38,7 @@ __all__ = [
     "VariationField",
     "generate_variation_field",
 ]
+
+
+def __getattr__(name: str) -> Any:
+    return load_export(__name__, _EXPORTS, name)

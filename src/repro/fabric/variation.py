@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from ..errors import ConfigError
 
@@ -97,6 +96,36 @@ class VariationField:
         }
 
 
+def _gaussian_filter_nearest(x: np.ndarray, sigma: float) -> np.ndarray:
+    """2-D Gaussian smoothing with edge-replicated borders.
+
+    Reproduces ``ndimage.gaussian_filter(x, sigma, mode="nearest")`` bit
+    for bit (truncation at 4 sigma), which is how device fields were first
+    generated: the normalised kernel is computed with the same float
+    operations, axis 0 is filtered before axis 1, and each output sample
+    is the centre tap plus the symmetric pairs ``x[c-j] + x[c+j]``
+    accumulated from the outermost ``j`` inwards.  Summing in any other
+    order moves results by an ulp, and with them every die identity and
+    pinned artefact (``tests/fabric/test_variation.py`` holds the proof).
+    """
+    radius = int(4.0 * float(sigma) + 0.5)
+    taps = np.arange(-radius, radius + 1)
+    phi = np.exp(-0.5 / (sigma * sigma) * taps**2)
+    weights = phi / phi.sum()
+    out = np.asarray(x, dtype=np.float64)
+    for axis in (0, 1):
+        lines = np.moveaxis(out, axis, 0)
+        n = lines.shape[0]
+        padded = np.concatenate(
+            [lines[:1].repeat(radius, 0), lines, lines[-1:].repeat(radius, 0)]
+        )
+        acc = padded[radius : radius + n] * weights[radius]
+        for j in range(radius, 0, -1):
+            acc += (padded[radius - j :][:n] + padded[radius + j :][:n]) * weights[radius + j]
+        out = np.moveaxis(acc, 0, axis)
+    return out
+
+
 def _systematic_surface(
     rows: int, cols: int, order: int, amplitude: float, rng: np.random.Generator
 ) -> np.ndarray:
@@ -145,9 +174,7 @@ def generate_variation_field(
     )
 
     white_for_corr = rng.normal(size=(rows, cols))
-    correlated = ndimage.gaussian_filter(
-        white_for_corr, sigma=config.correlation_length, mode="nearest"
-    )
+    correlated = _gaussian_filter_nearest(white_for_corr, config.correlation_length)
     cstd = correlated.std()
     if cstd > 0:
         correlated *= config.correlated_sigma / cstd

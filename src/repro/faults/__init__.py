@@ -14,13 +14,13 @@ See ``docs/resilience.md`` for the fault taxonomy and the degraded-result
 contract.
 """
 
-from .injector import FaultInjector
-from .plan import (
-    FAULT_KINDS,
-    REPRO_FAULTS_ENV,
-    WORKER_FAULT_KINDS,
-    FaultPlan,
-    FaultSpec,
+from typing import Any
+
+from .._lazy import load_export
+
+_EXPORTS = (
+    (".injector", ("FaultInjector",)),
+    (".plan", ("FAULT_KINDS", "REPRO_FAULTS_ENV", "WORKER_FAULT_KINDS", "FaultPlan", "FaultSpec")),
 )
 
 __all__ = [
@@ -31,3 +31,7 @@ __all__ = [
     "FaultSpec",
     "REPRO_FAULTS_ENV",
 ]
+
+
+def __getattr__(name: str) -> Any:
+    return load_export(__name__, _EXPORTS, name)

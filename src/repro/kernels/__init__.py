@@ -15,14 +15,23 @@ is proven bit-identical to it by the test suite and the
 compiler".
 """
 
-from .execute import evaluate_packed, evaluate_tile, pack_bits, stream_values, unpack_plane
-from .lower import LoweredLUT, lower_tt
-from .plan import (
-    ExecutionPlan,
-    clear_plan_cache,
-    netlist_fingerprint,
-    plan_cache_size,
-    plan_for,
+from typing import Any
+
+from .._lazy import load_export
+
+_EXPORTS = (
+    (
+        ".execute",
+        ("evaluate_packed", "evaluate_tile", "pack_bits", "stream_values", "unpack_plane"),
+    ),
+    (".lower", ("LoweredLUT", "lower_tt")),
+    (".plan", (
+        "ExecutionPlan",
+        "clear_plan_cache",
+        "netlist_fingerprint",
+        "plan_cache_size",
+        "plan_for",
+    )),
 )
 
 __all__ = [
@@ -39,3 +48,7 @@ __all__ = [
     "stream_values",
     "unpack_plane",
 ]
+
+
+def __getattr__(name: str) -> Any:
+    return load_export(__name__, _EXPORTS, name)

@@ -10,10 +10,16 @@
   (paper eqs. 7-8, Sec. VI-E).
 """
 
-from .error_model import ErrorModel, ErrorModelSet, build_error_model
-from .area_model import AreaModel, AreaSample, fit_area_model, collect_area_samples
-from .prior import CoefficientPrior, prior_over_magnitudes
-from .runtime import RuntimeModel, predict_runtime_seconds
+from typing import Any
+
+from .._lazy import load_export
+
+_EXPORTS = (
+    (".error_model", ("ErrorModel", "ErrorModelSet", "build_error_model")),
+    (".area_model", ("AreaModel", "AreaSample", "fit_area_model", "collect_area_samples")),
+    (".prior", ("CoefficientPrior", "prior_over_magnitudes")),
+    (".runtime", ("RuntimeModel", "predict_runtime_seconds")),
+)
 
 __all__ = [
     "ErrorModel",
@@ -28,3 +34,7 @@ __all__ = [
     "RuntimeModel",
     "predict_runtime_seconds",
 ]
+
+
+def __getattr__(name: str) -> Any:
+    return load_export(__name__, _EXPORTS, name)

@@ -14,10 +14,10 @@ sigma for the confidence interval.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from ..errors import ModelError
 from ..fabric.device import FPGADevice
@@ -66,7 +66,7 @@ class AreaModel:
     def _t95(self) -> float:
         """Two-sided 95% Student-t quantile at the fit's residual dof."""
         dof = max(1, self.n_samples - len(self.coeffs))
-        return float(stats.t.ppf(0.975, dof))
+        return _t_quantile(0.975, dof)
 
     def predict(self, wordlength: int | np.ndarray, strict: bool = False) -> np.ndarray:
         """Predicted LE count for word-length(s)."""
@@ -98,6 +98,63 @@ class AreaModel:
         if k < 1:
             raise ModelError("k must be >= 1")
         return float(k * self.predict(wordlength) + overhead_le)
+
+
+def _betainc(a: float, b: float, x: float) -> float:
+    """Regularised incomplete beta ``I_x(a, b)`` (Lentz continued fraction)."""
+    if x > (a + 1.0) / (a + b + 2.0):
+        # The fraction converges fast only below the mean; use the symmetry.
+        return 1.0 - _betainc(b, a, 1.0 - x)
+    log_front = (
+        math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+        + a * math.log(x) + b * math.log1p(-x)
+    )
+    tiny = 1e-300
+    f, c, d = 1.0, 1.0, 0.0
+    for i in range(2000):
+        m = i // 2
+        if i == 0:
+            num = 1.0
+        elif i % 2 == 0:
+            num = m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m))
+        else:
+            num = -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1))
+        d = 1.0 + num * d
+        d = 1.0 / (d if abs(d) > tiny else tiny)
+        c = 1.0 + num / c
+        c = c if abs(c) > tiny else tiny
+        f *= c * d
+        if abs(1.0 - c * d) < 1e-16:
+            break
+    return math.exp(log_front) * (f - 1.0) / a
+
+
+def _t_quantile(p: float, dof: int) -> float:
+    """Student-t quantile ``t`` with ``P(T <= t) = p``, for ``0.5 < p < 1``.
+
+    Closed forms for one and two degrees of freedom; otherwise Newton
+    steps on the upper tail ``I_x(dof/2, 1/2) / 2`` with
+    ``x = dof / (dof + t**2)``.  The CDF is concave for ``t > 0`` and the
+    normal quantile lies below every t quantile, so the iteration rises
+    monotonically onto the root.
+    """
+    if dof == 1:
+        return 1.0 / math.tan(math.pi * (1.0 - p))
+    if dof == 2:
+        return (2.0 * p - 1.0) / math.sqrt(2.0 * p * (1.0 - p))
+    from statistics import NormalDist  # only Fig. 9 needs this; keep it off the import path
+
+    a = dof / 2.0
+    log_pdf0 = math.lgamma(a + 0.5) - math.lgamma(a) - 0.5 * math.log(dof * math.pi)
+    t = NormalDist().inv_cdf(p)
+    for _ in range(100):
+        tail = 0.5 * _betainc(a, 0.5, dof / (dof + t * t))
+        pdf = math.exp(log_pdf0 - (a + 0.5) * math.log1p(t * t / dof))
+        step = (tail - (1.0 - p)) / pdf
+        t += step
+        if abs(step) <= 1e-15 * t:
+            break
+    return t
 
 
 def collect_area_samples(

@@ -11,17 +11,23 @@ the paper's observations rest on fall out of the construction:
   products settle earlier (Fig. 5).
 """
 
-from .core import CompiledNetlist, Netlist, NetlistStats, bits_from_ints, ints_from_bits
-from .adders import add_ripple_carry, add_ripple_carry_with_const
-from .multipliers import (
-    baugh_wooley_multiplier,
-    sign_magnitude_multiplier,
-    unsigned_array_multiplier,
+from typing import Any
+
+from .._lazy import load_export
+
+_EXPORTS = (
+    (".core", ("CompiledNetlist", "Netlist", "NetlistStats", "bits_from_ints", "ints_from_bits")),
+    (".adders", ("add_ripple_carry", "add_ripple_carry_with_const")),
+    (".multipliers", (
+        "baugh_wooley_multiplier",
+        "sign_magnitude_multiplier",
+        "unsigned_array_multiplier",
+    )),
+    (".ccm", ("ccm_multiplier", "csd_digits")),
+    (".wallace", ("wallace_tree_multiplier",)),
+    (".mac", ("mac_block",)),
+    (".generators", ("GENERATORS", "generate")),
 )
-from .ccm import ccm_multiplier, csd_digits
-from .wallace import wallace_tree_multiplier
-from .mac import mac_block
-from .generators import GENERATORS, generate
 
 __all__ = [
     "CompiledNetlist",
@@ -41,3 +47,7 @@ __all__ = [
     "GENERATORS",
     "generate",
 ]
+
+
+def __getattr__(name: str) -> Any:
+    return load_export(__name__, _EXPORTS, name)

@@ -59,7 +59,7 @@ def generate(name: str, *args, **kwargs) -> Netlist:
     if get_analysis_settings().lint_generated:
         # Imported lazily: repro.analysis reads repro.netlist.core, which
         # would recurse through this package during its own import.
-        from ..analysis import check_netlist
+        from ..analysis.linter import check_netlist
 
         check_netlist(netlist, context=f"generator {name!r}")
     return netlist

@@ -28,60 +28,66 @@ environment variables, or programmatically::
     observer.metrics.snapshot().write("metrics.json")
 """
 
-from .metrics import (
-    DEFAULT_BOUNDARIES,
-    METRICS_SCHEMA_VERSION,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    MetricsSnapshot,
-    load_metrics_snapshot,
-)
-from .profile import peak_rss_bytes, stage_profiler
-from .runtime import (
-    REPRO_METRICS_ENV,
-    REPRO_TRACE_ENV,
-    Observer,
-    counter_add,
-    default_metrics_path,
-    disable_observability,
-    enable_observability,
-    export_trace_files,
-    gauge_set,
-    get_observer,
-    metrics_enabled,
-    observability,
-    observe,
-    profile_stage,
-    set_observer,
-    snapshot_metrics,
-    span,
-    trace_enabled,
-    tracing_paths_from_env,
-)
-from .spec import (
-    COUNTER,
-    GAUGE,
-    HISTOGRAM,
-    METRIC_CATALOG,
-    SPAN_CATALOG,
-    MetricSpec,
-    SpanSpec,
-    metric_spec,
-    metrics_table_markdown,
-    span_spec,
-    spans_table_markdown,
-    telemetry_reference_markdown,
-)
-from .trace import (
-    TRACE_SCHEMA_VERSION,
-    Span,
-    SpanRecord,
-    Tracer,
-    chrome_trace_from_records,
-    load_trace_jsonl,
-    summarize_spans,
+from typing import Any
+
+from .._lazy import load_export
+
+_EXPORTS = (
+    (".metrics", (
+        "DEFAULT_BOUNDARIES",
+        "METRICS_SCHEMA_VERSION",
+        "Counter",
+        "Gauge",
+        "Histogram",
+        "MetricsRegistry",
+        "MetricsSnapshot",
+        "load_metrics_snapshot",
+    )),
+    (".profile", ("peak_rss_bytes", "stage_profiler")),
+    (".runtime", (
+        "REPRO_METRICS_ENV",
+        "REPRO_TRACE_ENV",
+        "Observer",
+        "counter_add",
+        "default_metrics_path",
+        "disable_observability",
+        "enable_observability",
+        "export_trace_files",
+        "gauge_set",
+        "get_observer",
+        "metrics_enabled",
+        "observability",
+        "observe",
+        "profile_stage",
+        "set_observer",
+        "snapshot_metrics",
+        "span",
+        "trace_enabled",
+        "tracing_paths_from_env",
+    )),
+    (".spec", (
+        "COUNTER",
+        "GAUGE",
+        "HISTOGRAM",
+        "METRIC_CATALOG",
+        "SPAN_CATALOG",
+        "MetricSpec",
+        "SpanSpec",
+        "metric_spec",
+        "metrics_table_markdown",
+        "span_spec",
+        "spans_table_markdown",
+        "telemetry_reference_markdown",
+    )),
+    (".trace", (
+        "TRACE_SCHEMA_VERSION",
+        "Span",
+        "SpanRecord",
+        "Tracer",
+        "chrome_trace_from_records",
+        "load_trace_jsonl",
+        "summarize_spans",
+    )),
 )
 
 __all__ = [
@@ -134,3 +140,7 @@ __all__ = [
     "trace_enabled",
     "tracing_paths_from_env",
 ]
+
+
+def __getattr__(name: str) -> Any:
+    return load_export(__name__, _EXPORTS, name)

@@ -27,47 +27,49 @@ Coordinated pieces (see ``docs/performance.md`` and ``docs/distributed.md``):
   ``docs/static_analysis.md``).
 """
 
-from .cache import (
-    REPRO_CACHE_DIR_ENV,
-    CacheStats,
-    PlacedDesignCache,
-    PlacedKey,
-    get_default_cache,
-    multiplier_netlist,
-    set_default_cache,
+from typing import Any
+
+from .._lazy import load_export
+
+_EXPORTS = (
+    (".cache", (
+        "REPRO_CACHE_DIR_ENV",
+        "CacheStats",
+        "PlacedDesignCache",
+        "PlacedKey",
+        "get_default_cache",
+        "multiplier_netlist",
+        "set_default_cache",
+    )),
+    (".engine", ("Shard", "ShardResult", "SweepPlan", "execute_shards", "run_shard", "run_sweep")),
+    (".executors", (
+        "FileQueueExecutor",
+        "PoolExecutor",
+        "SerialExecutor",
+        "ShardExecutor",
+        "SweepContext",
+        "executors_table_markdown",
+        "resolve_executor",
+    )),
+    (".jobs", (
+        "EXECUTOR_CATALOG",
+        "EXECUTOR_NAMES",
+        "REPRO_EXECUTOR_ENV",
+        "REPRO_JOBS_ENV",
+        "ExecutorInfo",
+        "resolve_jobs",
+    )),
+    (".retry", ("ShardAttempt", "ShardReport", "SweepOutcome", "backoff_delay")),
+    (".sanitize", (
+        "REPRO_SANITIZE_ENV",
+        "CacheSanitizer",
+        "SanitizerViolation",
+        "read_journal",
+        "sanitize_enabled",
+    )),
+    (".spool", ("WorkerOutcome",)),
+    (".worker", ("drain_spool", "worker_main")),
 )
-from .engine import (
-    Shard,
-    ShardResult,
-    SweepPlan,
-    execute_shards,
-    run_shard,
-    run_sweep,
-)
-from .executors import (
-    EXECUTOR_CATALOG,
-    EXECUTOR_NAMES,
-    REPRO_EXECUTOR_ENV,
-    ExecutorInfo,
-    FileQueueExecutor,
-    PoolExecutor,
-    SerialExecutor,
-    ShardExecutor,
-    SweepContext,
-    executors_table_markdown,
-    resolve_executor,
-)
-from .jobs import REPRO_JOBS_ENV, resolve_jobs
-from .retry import ShardAttempt, ShardReport, SweepOutcome, backoff_delay
-from .sanitize import (
-    REPRO_SANITIZE_ENV,
-    CacheSanitizer,
-    SanitizerViolation,
-    read_journal,
-    sanitize_enabled,
-)
-from .spool import WorkerOutcome
-from .worker import drain_spool, worker_main
 
 __all__ = [
     "EXECUTOR_CATALOG",
@@ -109,3 +111,7 @@ __all__ = [
     "set_default_cache",
     "worker_main",
 ]
+
+
+def __getattr__(name: str) -> Any:
+    return load_export(__name__, _EXPORTS, name)

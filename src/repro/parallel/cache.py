@@ -46,7 +46,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Iterator
 
-from ..analysis import check_netlist
+from ..analysis.linter import check_netlist
 from ..fabric.device import FPGADevice
 from ..obs import runtime as obs
 from ..netlist.core import CompiledNetlist

@@ -30,7 +30,8 @@ import numpy as np
 from ..config import ResilienceSettings, get_resilience_settings
 from ..fabric.device import FPGADevice
 from ..obs import runtime as obs
-from ..faults import FaultInjector, FaultPlan
+from ..faults.injector import FaultInjector
+from ..faults.plan import FaultPlan
 from ..netlist.core import EvalScratch, bits_from_ints
 from ..rng import SeedTree
 from ..timing.simulator import simulate_transitions

@@ -44,7 +44,8 @@ from pathlib import Path
 from ..config import ResilienceSettings, get_kernel_mode
 from ..errors import ConfigError
 from ..fabric.device import FPGADevice
-from ..faults import FaultInjector, FaultPlan
+from ..faults.injector import FaultInjector
+from ..faults.plan import FaultPlan
 from ..obs import runtime as obs
 from . import spool
 from .cache import PlacedDesignCache
@@ -56,26 +57,18 @@ from .engine import (
     _run_shard_in_worker,
     _SweepState,
 )
+from .jobs import EXECUTOR_CATALOG, EXECUTOR_NAMES, REPRO_EXECUTOR_ENV
 from .retry import ATTEMPT_ERROR, ATTEMPT_OK
 
 __all__ = [
-    "EXECUTOR_CATALOG",
-    "EXECUTOR_NAMES",
-    "ExecutorInfo",
     "FileQueueExecutor",
     "PoolExecutor",
-    "REPRO_EXECUTOR_ENV",
     "SerialExecutor",
     "ShardExecutor",
     "SweepContext",
     "executors_table_markdown",
     "resolve_executor",
 ]
-
-#: Environment variable naming the default executor (``run_sweep``'s
-#: ``executor=None``); unset means ``pool``.
-REPRO_EXECUTOR_ENV = "REPRO_EXECUTOR"
-
 
 @dataclass
 class SweepContext:
@@ -400,44 +393,6 @@ class FileQueueExecutor(ShardExecutor):
 
 # ----------------------------------------------------------------------
 # Registry.
-
-@dataclass(frozen=True)
-class ExecutorInfo:
-    """One row of the executor reference (docs generator input)."""
-
-    name: str
-    topology: str
-    description: str
-
-
-EXECUTOR_CATALOG: tuple[ExecutorInfo, ...] = (
-    ExecutorInfo(
-        "pool",
-        "one host, N forked processes",
-        "Default.  First attempts fan out over a `ProcessPoolExecutor`; "
-        "timeouts or a broken pool degrade the sweep to the inline loop. "
-        "No-op at `jobs=1`.",
-    ),
-    ExecutorInfo(
-        "serial",
-        "one host, one process",
-        "Reference semantics: every attempt runs in the engine's inline "
-        "loop (`jobs=1` behaviour regardless of `jobs`) — the ground "
-        "truth other executors are byte-diffed against.",
-    ),
-    ExecutorInfo(
-        "file-queue",
-        "coordinator + N spawnable `repro worker` processes",
-        "Shard descriptors spool to a directory; stateless workers lease "
-        "them by atomic rename, share one checksummed placed-design "
-        "cache, and write outcome sidecars.  Stale leases (killed or "
-        "stalled workers) are requeued; a vanished fleet degrades to the "
-        "inline loop.",
-    ),
-)
-
-EXECUTOR_NAMES: tuple[str, ...] = tuple(info.name for info in EXECUTOR_CATALOG)
-
 
 def resolve_executor(spec: "str | ShardExecutor | None") -> ShardExecutor:
     """The executor to use for a sweep.

@@ -1,17 +1,29 @@
-"""Worker-count resolution for the parallel characterisation engine.
+"""Worker-count resolution and the shard-executor catalogue.
 
 One knob, three sources, in priority order: an explicit ``jobs`` argument
 (CLI ``--jobs``), the ``REPRO_JOBS`` environment variable, and a default
 of 1 — so serial behaviour is unchanged unless parallelism is asked for.
+
+The executor catalogue lives here rather than in
+:mod:`repro.parallel.executors` so ``repro-flow`` can offer the names as
+``--executor`` choices without importing the sweep machinery.
 """
 
 from __future__ import annotations
 
 import os
+from dataclasses import dataclass
 
 from ..errors import ConfigError
 
-__all__ = ["REPRO_JOBS_ENV", "resolve_jobs"]
+__all__ = [
+    "EXECUTOR_CATALOG",
+    "EXECUTOR_NAMES",
+    "REPRO_EXECUTOR_ENV",
+    "REPRO_JOBS_ENV",
+    "ExecutorInfo",
+    "resolve_jobs",
+]
 
 #: Environment variable consulted when no explicit ``jobs`` is given.
 REPRO_JOBS_ENV = "REPRO_JOBS"
@@ -48,3 +60,46 @@ def resolve_jobs(jobs: int | None = None) -> int:
     if jobs < 1:
         raise ConfigError(f"{source} must be >= 1, got {jobs}")
     return jobs
+
+
+#: Environment variable naming the default executor (``run_sweep``'s
+#: ``executor=None``); unset means ``pool``.
+REPRO_EXECUTOR_ENV = "REPRO_EXECUTOR"
+
+
+@dataclass(frozen=True)
+class ExecutorInfo:
+    """One row of the executor reference (docs generator input)."""
+
+    name: str
+    topology: str
+    description: str
+
+
+EXECUTOR_CATALOG: tuple[ExecutorInfo, ...] = (
+    ExecutorInfo(
+        "pool",
+        "one host, N forked processes",
+        "Default.  First attempts fan out over a `ProcessPoolExecutor`; "
+        "timeouts or a broken pool degrade the sweep to the inline loop. "
+        "No-op at `jobs=1`.",
+    ),
+    ExecutorInfo(
+        "serial",
+        "one host, one process",
+        "Reference semantics: every attempt runs in the engine's inline "
+        "loop (`jobs=1` behaviour regardless of `jobs`) — the ground "
+        "truth other executors are byte-diffed against.",
+    ),
+    ExecutorInfo(
+        "file-queue",
+        "coordinator + N spawnable `repro worker` processes",
+        "Shard descriptors spool to a directory; stateless workers lease "
+        "them by atomic rename, share one checksummed placed-design "
+        "cache, and write outcome sidecars.  Stale leases (killed or "
+        "stalled workers) are requeued; a vanished fleet degrades to the "
+        "inline loop.",
+    ),
+)
+
+EXECUTOR_NAMES: tuple[str, ...] = tuple(info.name for info in EXECUTOR_CATALOG)

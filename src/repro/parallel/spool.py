@@ -45,7 +45,7 @@ from pathlib import Path
 import numpy as np
 
 from ..fabric.device import FPGADevice
-from ..faults import FaultPlan
+from ..faults.plan import FaultPlan
 from .engine import Shard, ShardResult, SweepPlan
 
 __all__ = [

@@ -32,7 +32,8 @@ from pathlib import Path
 
 from ..config import set_kernel_mode
 from ..errors import ConfigError
-from ..faults import FaultInjector, FaultPlan
+from ..faults.injector import FaultInjector
+from ..faults.plan import FaultPlan
 from ..netlist.core import EvalScratch
 from . import spool
 from .cache import PlacedDesignCache

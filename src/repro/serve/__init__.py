@@ -16,24 +16,30 @@ the server produces **byte-identical** artefacts to the same run through
 See ``docs/serving.md`` for the API, quota/backpressure and SLO story.
 """
 
-from .client import ServeClient
-from .jobs import (
-    CANCELLED,
-    DEGRADED,
-    DONE,
-    FAILED,
-    JOB_KINDS,
-    JOB_STATES,
-    JobRecord,
-    JobSpec,
-    QUEUED,
-    RUNNING,
-    TERMINAL_STATES,
-    job_id_for,
+from typing import Any
+
+from .._lazy import load_export
+
+_EXPORTS = (
+    (".client", ("ServeClient",)),
+    (".jobs", (
+        "CANCELLED",
+        "DEGRADED",
+        "DONE",
+        "FAILED",
+        "JOB_KINDS",
+        "JOB_STATES",
+        "JobRecord",
+        "JobSpec",
+        "QUEUED",
+        "RUNNING",
+        "TERMINAL_STATES",
+        "job_id_for",
+    )),
+    (".queue", ("AdmissionQueue", "QueueEntry", "REASON_QUEUE_FULL", "REASON_TENANT_QUOTA")),
+    (".server", ("JobServer",)),
+    (".settings", ("ServeSettings",)),
 )
-from .queue import AdmissionQueue, QueueEntry, REASON_QUEUE_FULL, REASON_TENANT_QUOTA
-from .server import JobServer
-from .settings import ServeSettings
 
 __all__ = [
     "AdmissionQueue",
@@ -56,3 +62,7 @@ __all__ = [
     "TERMINAL_STATES",
     "job_id_for",
 ]
+
+
+def __getattr__(name: str) -> Any:
+    return load_export(__name__, _EXPORTS, name)

@@ -22,7 +22,7 @@ from typing import Any
 from ..circuits.domains import Domain
 from ..config import ResilienceSettings, TableISettings, get_resilience_settings
 from ..errors import ConfigError, ReproError, ServeError, SweepFailedError
-from ..faults import FaultPlan
+from ..faults.plan import FaultPlan
 from ..fabric.device import make_device
 from ..obs import runtime as obs
 from ..parallel.cache import PlacedDesignCache

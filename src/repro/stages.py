@@ -28,7 +28,7 @@ from .config import ResilienceSettings, TableISettings
 from .core.design import LinearProjectionDesign
 from .core.optimizer import OptimizationResult
 from .datasets import low_rank_gaussian
-from .faults import FaultPlan
+from .faults.plan import FaultPlan
 from .framework import default_frequency_grid
 from .models.area_model import AreaModel, collect_area_samples, fit_area_model
 from .parallel.cache import PlacedDesignCache

@@ -6,10 +6,16 @@ can execute against the *actual* device, and (ii) the conservative reports
 (Tool Fmax, LE count) that the paper's methodology deliberately outperforms.
 """
 
-from .placer import Placement, place_netlist
-from .timing_report import ToolTimingReport, tool_timing_report
-from .area_report import AreaReport, area_report
-from .flow import PlacedDesign, SynthesisFlow
+from typing import Any
+
+from .._lazy import load_export
+
+_EXPORTS = (
+    (".placer", ("Placement", "place_netlist")),
+    (".timing_report", ("ToolTimingReport", "tool_timing_report")),
+    (".area_report", ("AreaReport", "area_report")),
+    (".flow", ("PlacedDesign", "SynthesisFlow")),
+)
 
 __all__ = [
     "Placement",
@@ -21,3 +27,7 @@ __all__ = [
     "PlacedDesign",
     "SynthesisFlow",
 ]
+
+
+def __getattr__(name: str) -> Any:
+    return load_export(__name__, _EXPORTS, name)

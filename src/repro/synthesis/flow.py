@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..analysis import check_netlist
+from ..analysis.linter import check_netlist
 from ..config import get_analysis_settings
 from ..errors import PlacementError
 from ..obs import runtime as obs

@@ -7,10 +7,16 @@ register when you clock it faster than that" (the error-prone regime the
 characterisation step measures).
 """
 
-from .sta import StaticTimingResult, static_timing
-from .simulator import TransitionTimingResult, simulate_transitions
-from .capture import CaptureResult, capture_stream
-from .razor import RazorConfig, RazorResult, razor_execute, razor_optimal_frequency
+from typing import Any
+
+from .._lazy import load_export
+
+_EXPORTS = (
+    (".sta", ("StaticTimingResult", "static_timing")),
+    (".simulator", ("TransitionTimingResult", "simulate_transitions")),
+    (".capture", ("CaptureResult", "capture_stream")),
+    (".razor", ("RazorConfig", "RazorResult", "razor_execute", "razor_optimal_frequency")),
+)
 
 __all__ = [
     "StaticTimingResult",
@@ -24,3 +30,7 @@ __all__ = [
     "razor_execute",
     "razor_optimal_frequency",
 ]
+
+
+def __getattr__(name: str) -> Any:
+    return load_export(__name__, _EXPORTS, name)

@@ -1,10 +1,17 @@
 """Tests for repro.fabric.variation."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.errors import ConfigError
-from repro.fabric.variation import VariationConfig, generate_variation_field
+from repro.fabric import make_device
+from repro.fabric.variation import (
+    VariationConfig,
+    _gaussian_filter_nearest,
+    generate_variation_field,
+)
 
 
 def _field(rows=48, cols=48, seed=0, **kw):
@@ -86,3 +93,37 @@ class TestFieldQueries:
         s = _field().summary()
         assert {"mean", "std", "min", "max", "corner_to_corner"} <= set(s)
         assert s["min"] <= s["mean"] <= s["max"]
+
+
+class TestGoldenField:
+    """The die identity every pinned artefact depends on.
+
+    Digests of ``make_device(serial).variation.factors`` recorded while the
+    field was still smoothed by ``scipy.ndimage.gaussian_filter``; the numpy
+    filter must reproduce them byte for byte.
+    """
+
+    GOLDEN = {
+        0: "cc11ef4a0aeeefd5a070ced10d9eabf0c398a6c2a61f8026b845a8b7454331b8",
+        42: "cccea4bef3efd8074f09e20516204db7a945edf3b35c3453d7aacfc743a1d5a0",
+        12345: "1a3d677285fcec45b73622a7b845cd54f99800f9b6448f9b49c6c490edfb60f6",
+    }
+
+    @pytest.mark.parametrize("serial", sorted(GOLDEN))
+    def test_field_bytes_pinned(self, serial):
+        factors = make_device(serial=serial).variation.factors
+        assert hashlib.sha256(factors.tobytes()).hexdigest() == self.GOLDEN[serial]
+
+
+class TestGaussianFilter:
+    # sigma 2.5 / 8.0 / 13.7 give radii 10 / 32 / 55: longer than most axes
+    # here, so the edge replication reaches across the whole axis.
+    @pytest.mark.parametrize(
+        "shape", [(1, 1), (1, 7), (6, 1), (3, 5), (40, 33), (120, 128), (200, 300)]
+    )
+    @pytest.mark.parametrize("sigma", [0.3, 1.0, 2.5, 8.0, 13.7])
+    def test_bit_identical_to_scipy(self, shape, sigma):
+        ndimage = pytest.importorskip("scipy.ndimage")
+        x = np.random.default_rng(sum(shape)).normal(size=shape)
+        expected = ndimage.gaussian_filter(x, sigma, mode="nearest")
+        assert np.array_equal(_gaussian_filter_nearest(x, sigma), expected)

@@ -6,6 +6,7 @@ import pytest
 from repro.errors import ModelError
 from repro.models.area_model import (
     AreaSample,
+    _t_quantile,
     collect_area_samples,
     fit_area_model,
 )
@@ -86,3 +87,22 @@ class TestFit:
     def test_design_area_invalid_k(self, model):
         with pytest.raises(ModelError):
             model.design_area(5, 0)
+
+
+class TestStudentT:
+    def test_matches_scipy(self):
+        stats = pytest.importorskip("scipy.stats")
+        dofs = np.arange(1, 501)
+        ours = [_t_quantile(0.975, int(dof)) for dof in dofs]
+        np.testing.assert_allclose(ours, stats.t.ppf(0.975, dofs), rtol=1e-12, atol=0)
+
+    def test_closed_forms(self):
+        assert _t_quantile(0.975, 1) == pytest.approx(12.706204736174694, rel=1e-14)
+        assert _t_quantile(0.975, 2) == pytest.approx(4.302652729749462, rel=1e-14)
+
+    def test_fig9_verdicts_unchanged(self, model, samples):
+        """Fig. 9 on this fixture, as recorded with ``scipy.stats.t.ppf``."""
+        assert model.n_samples - len(model.coeffs) == 13
+        assert model._t95 == pytest.approx(2.1603686564627913, rel=1e-12)
+        verdicts = [model.within_interval(s.wordlength, s.logic_elements) for s in samples]
+        assert verdicts == [True] * 16

@@ -12,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.parallel.executors import EXECUTOR_NAMES, executors_table_markdown
+from repro.parallel.executors import executors_table_markdown
+from repro.parallel.jobs import EXECUTOR_NAMES
 from repro.parallel.spool import (
     SPOOL_LAYOUT,
     descriptor_fields_markdown,

@@ -15,15 +15,13 @@ from repro.errors import ConfigError
 from repro.faults import FaultPlan, FaultSpec
 from repro.parallel import spool
 from repro.parallel.executors import (
-    EXECUTOR_CATALOG,
-    EXECUTOR_NAMES,
-    REPRO_EXECUTOR_ENV,
     FileQueueExecutor,
     PoolExecutor,
     SerialExecutor,
     executors_table_markdown,
     resolve_executor,
 )
+from repro.parallel.jobs import EXECUTOR_CATALOG, EXECUTOR_NAMES, REPRO_EXECUTOR_ENV
 
 
 def _grid_bytes(result):

@@ -53,6 +53,19 @@ class TestImports:
         for entry in getattr(mod, "__all__", []):
             assert hasattr(mod, entry), f"{name}.__all__ lists missing {entry!r}"
 
+    def test_every_package_export_resolves(self):
+        # Package __init__s resolve their exports lazily (repro/_lazy.py), so
+        # a wrong submodule in an _EXPORTS table only fails on first access.
+        missing = []
+        for info in pkgutil.walk_packages(repro.__path__, prefix="repro."):
+            if not info.ispkg:
+                continue
+            mod = importlib.import_module(info.name)
+            names = set(getattr(mod, "__all__", []))
+            names.update(n for _, group in getattr(mod, "_EXPORTS", ()) for n in group)
+            missing += [f"{info.name}.{n}" for n in sorted(names) if not hasattr(mod, n)]
+        assert not missing, missing
+
     def test_top_level_all(self):
         for entry in repro.__all__:
             assert hasattr(repro, entry)
