@@ -13,13 +13,11 @@ makes cheap (paper Secs. I-II).
 
 import numpy as np
 
-from repro.characterization import CharacterizationConfig
 from repro.circuits.domains import Domain
 from repro.config import TableISettings
-from repro.datasets import low_rank_gaussian
 from repro.eval.report import render_table
 from repro.fabric import make_device
-from repro.framework import OptimizationFramework, default_frequency_grid
+from repro.framework import OptimizationFramework, train_test_split
 
 from .conftest import run_once
 
@@ -36,20 +34,13 @@ def test_designs_are_device_specific(ctx, benchmark):
     )
 
     def run():
-        char = CharacterizationConfig(
-            freqs_mhz=default_frequency_grid(settings.clock_frequency_mhz),
-            n_samples=settings.n_characterization,
-            n_locations=2,  # pool locations, as the paper does (Sec. III-C)
-        )
         dev_a = make_device(5001)
         dev_b = make_device(5002)
-        fw_a = OptimizationFramework(dev_a, settings, char_config=char, seed=1)
-        fw_b = OptimizationFramework(dev_b, settings, char_config=char, seed=1)
-        x = low_rank_gaussian(
-            settings.p, settings.k, settings.n_train + settings.n_test,
-            np.random.default_rng(0), noise=0.02,
-        )
-        x_train, x_test = x[:, : settings.n_train], x[:, settings.n_train :]
+        # Default characterisation: two pooled locations, as the paper
+        # does (Sec. III-C).
+        fw_a = OptimizationFramework(dev_a, settings, seed=1)
+        fw_b = OptimizationFramework(dev_b, settings, seed=1)
+        x_train, x_test = train_test_split(settings, seed=0)
 
         best_a = min(
             fw_a.optimize(x_train, beta=4.0).designs,

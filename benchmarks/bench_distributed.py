@@ -1,11 +1,11 @@
 #!/usr/bin/env python
 """Benchmark the distributed sweep fabric against the in-process paths.
 
-Runs one characterisation sweep under every shard executor — ``serial``
-(the reference), ``pool`` (forked processes) and ``file-queue``
-(coordinator + spawned ``repro worker`` processes over a spool
-directory) — and records wall-clock plus the executor overhead relative
-to the pool.  A chaos section kills a file-queue worker mid-shard
+Runs one characterisation sweep serially (``jobs=1``, the inline
+reference loop) and under every shard executor — ``pool`` (forked
+processes) and ``file-queue`` (coordinator + spawned ``repro worker``
+processes over a spool directory) — and records wall-clock plus the
+overhead relative to the pool.  A chaos section kills a file-queue worker mid-shard
 (``worker-exit`` fault) and demands the stale-lease requeue recover the
 sweep.
 
@@ -116,9 +116,9 @@ def main(argv: list[str] | None = None) -> int:
     )
 
     print(f"distributed fabric bench ({'smoke' if args.smoke else 'reference'})")
-    serial_s, reference = _run(device, cfg, seed, executor="serial")
+    serial_s, reference = _run(device, cfg, seed, jobs=1)
     reference_bytes = _grid_bytes(reference)
-    print(f"  serial: {serial_s:.2f}s (reference)")
+    print(f"  serial (jobs=1): {serial_s:.2f}s (reference)")
 
     pool_s, pooled = _run(device, cfg, seed, jobs=workers, executor="pool")
     print(f"  pool({workers} jobs): {pool_s:.2f}s")

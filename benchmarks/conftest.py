@@ -21,7 +21,7 @@ BENCH_SEED = int(os.environ.get("REPRO_BENCH_SEED", "42"))
 
 @pytest.fixture(scope="session")
 def ctx():
-    return ExperimentContext.get(seed=BENCH_SEED, scale=BENCH_SCALE, n_char_locations=2)
+    return ExperimentContext.get(seed=BENCH_SEED, scale=BENCH_SCALE)
 
 
 def run_once(benchmark, fn, *args, **kwargs):

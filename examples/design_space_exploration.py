@@ -17,10 +17,8 @@ import argparse
 import numpy as np
 
 from repro import OptimizationFramework, TableISettings, make_device
-from repro.characterization import CharacterizationConfig
 from repro.datasets import low_rank_gaussian
 from repro.eval.report import render_table
-from repro.framework import default_frequency_grid
 from repro.models.runtime import RuntimeModel
 
 
@@ -32,12 +30,7 @@ def main() -> None:
 
     settings = TableISettings().scaled(args.scale)
     device = make_device(args.serial)
-    char = CharacterizationConfig(
-        freqs_mhz=default_frequency_grid(settings.clock_frequency_mhz),
-        n_samples=settings.n_characterization,
-        n_locations=2,
-    )
-    fw = OptimizationFramework(device, settings, char_config=char, seed=args.serial)
+    fw = OptimizationFramework(device, settings, seed=args.serial)
     x = low_rank_gaussian(settings.p, settings.k, settings.n_train,
                           np.random.default_rng(0), noise=0.02)
 

@@ -26,15 +26,11 @@ from __future__ import annotations
 
 import argparse
 
-import numpy as np
-
 from repro import Domain, OptimizationFramework, TableISettings, make_device, obs
 from repro.analysis import lint_netlist
-from repro.characterization import CharacterizationConfig
 from repro.cli_flow import export_telemetry, resolve_telemetry_paths
-from repro.datasets import low_rank_gaussian
 from repro.eval.report import render_table
-from repro.framework import default_frequency_grid
+from repro.framework import train_test_split
 from repro.netlist.multipliers import unsigned_array_multiplier
 from repro.parallel import resolve_jobs
 
@@ -77,23 +73,14 @@ def main() -> None:
 
     # 3. Build the framework (characterisation + area model are lazy).
     settings = TableISettings().scaled(args.scale)
-    char = CharacterizationConfig(
-        freqs_mhz=default_frequency_grid(settings.clock_frequency_mhz),
-        n_samples=settings.n_characterization,
-        n_locations=2,
-    )
-    fw = OptimizationFramework(device, settings, char_config=char,
-                               seed=args.serial, jobs=jobs)
+    fw = OptimizationFramework(device, settings, seed=args.serial, jobs=jobs)
     print(f"characterising multipliers for word-lengths "
           f"{settings.coeff_wordlengths} (jobs={jobs}) ...")
     fw.characterize()
     fw.fit_area_model()
 
     # Data: train/test split from one generative model (Z^6 -> Z^3).
-    rng = np.random.default_rng(0)
-    x = low_rank_gaussian(settings.p, settings.k,
-                          settings.n_train + settings.n_test, rng, noise=0.02)
-    x_train, x_test = x[:, : settings.n_train], x[:, settings.n_train:]
+    x_train, x_test = train_test_split(settings, seed=0)
 
     # 5. Algorithm 1.
     print(f"running Algorithm 1 (beta={args.beta}, "

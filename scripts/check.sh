@@ -334,6 +334,39 @@ rm -rf "${fq_dir}"
 run_gate "docs drift (distributed fabric)" env PYTHONPATH=src \
     python -m pytest -x -q tests/parallel/test_distributed_docs.py
 
+# EXPERIMENTS drift: regenerating EXPERIMENTS.md at its recorded scale and
+# seed must reproduce the shipped file on every row except the date line
+# and the rows marked (wall-clock), which are timings of this run.
+exp_md="$(mktemp -t experiments.XXXXXX.md)"
+run_gate "docs drift (EXPERIMENTS.md)" env PYTHONPATH=src EXP_MD="${exp_md}" \
+    python - <<'PY'
+import difflib, os, subprocess, sys
+from pathlib import Path
+
+out = Path(os.environ["EXP_MD"])
+subprocess.run(
+    [sys.executable, "scripts/generate_experiments.py",
+     "--scale", "0.05", "--seed", "42", "--out", str(out)],
+    check=True, stdout=subprocess.DEVNULL,
+)
+
+def rows(path):
+    return [
+        line for line in path.read_text().splitlines()
+        if not line.startswith("Generated by") and "(wall-clock)" not in line
+    ]
+
+diff = list(difflib.unified_diff(
+    rows(Path("EXPERIMENTS.md")), rows(out),
+    "EXPERIMENTS.md", "regenerated", lineterm="",
+))
+if diff:
+    print("\n".join(diff))
+    sys.exit("EXPERIMENTS.md is stale: run scripts/generate_experiments.py")
+print("EXPERIMENTS.md drift OK: every deterministic row regenerates")
+PY
+rm -f "${exp_md}"
+
 echo
 echo "==== summary: ${#summary[@]} gates, $((${#summary[@]} - failures - skipped)) passed," \
     "${failures} failed, ${skipped} not verified"

@@ -15,9 +15,9 @@ session (or on another machine):
 
 ``--jobs`` (or ``REPRO_JOBS``) fans the characterisation sweeps out over
 a process pool; results are identical at any worker count.  ``--executor``
-(or ``REPRO_EXECUTOR``) picks the shard topology — ``pool``, ``serial``
-or the spool-backed ``file-queue`` (see ``docs/distributed.md``) — and
-never changes the archived bytes either.  Placed designs are cached
+(or ``REPRO_EXECUTOR``) picks the shard topology — ``pool`` or the
+spool-backed ``file-queue`` (see ``docs/distributed.md``) — and never
+changes the archived bytes either.  Placed designs are cached
 under ``WS/cache/placed`` and reused across stages and sessions.
 
 Telemetry: the top-level ``--trace PATH`` / ``--metrics PATH`` flags (or

@@ -16,13 +16,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..characterization.harness import CharacterizationConfig
 from ..config import TableISettings
 from ..core.design import LinearProjectionDesign
 from ..core.optimizer import OptimizationResult
-from ..datasets import low_rank_gaussian
 from ..fabric.device import FPGADevice, make_device
-from ..framework import OptimizationFramework, default_frequency_grid
+from ..framework import OptimizationFramework, train_test_split
 
 __all__ = ["ExperimentContext"]
 
@@ -52,39 +50,26 @@ class ExperimentContext:
         seed: int = 42,
         scale: float = 0.05,
         device_serial: int | None = None,
-        n_char_locations: int = 2,
     ) -> "ExperimentContext":
         """Build (or fetch) the context for ``(seed, scale)``.
 
         ``scale`` scales Table I's sample counts; 1.0 is the paper's full
         experiment.
         """
-        key = (seed, scale, device_serial, n_char_locations)
+        key = (seed, scale, device_serial)
         if key in _CONTEXT_CACHE:
             return _CONTEXT_CACHE[key]
         settings = TableISettings().scaled(scale)
         device = make_device(device_serial if device_serial is not None else seed)
-        char = CharacterizationConfig(
-            freqs_mhz=default_frequency_grid(settings.clock_frequency_mhz),
-            n_samples=settings.n_characterization,
-            multiplicands=None,
-            n_locations=n_char_locations,
-        )
-        framework = OptimizationFramework(
-            device, settings, char_config=char, seed=seed
-        )
-        rng = np.random.default_rng(seed)
-        x_all = low_rank_gaussian(
-            settings.p, settings.k, settings.n_train + settings.n_test, rng, noise=0.02
-        )
+        x_train, x_test = train_test_split(settings, seed)
         ctx = cls(
             seed=seed,
             scale=scale,
             settings=settings,
             device=device,
-            framework=framework,
-            x_train=x_all[:, : settings.n_train],
-            x_test=x_all[:, settings.n_train :],
+            framework=OptimizationFramework(device, settings, seed=seed),
+            x_train=x_train,
+            x_test=x_test,
         )
         _CONTEXT_CACHE[key] = ctx
         return ctx

@@ -18,19 +18,18 @@ Everything is deterministic in ``(device.serial, seed)``.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .characterization.harness import CharacterizationConfig, characterize_multiplier
-from .characterization.results import CharacterizationResult
 from .circuits.domains import Domain
 from .circuits.executor import DomainEvaluation, evaluate_design, evaluate_domains
 from .config import ResilienceSettings, TableISettings
 from .core.design import DesignPoint, LinearProjectionDesign
 from .core.klt import klt_reference_design
 from .core.optimizer import OptimizationResult, OptimizerConfig, optimize_designs
+from .datasets import low_rank_gaussian
 from .errors import OptimizationError
 from .fabric.device import FPGADevice
 from .models.area_model import AreaModel, collect_area_samples, fit_area_model
@@ -39,30 +38,13 @@ from .obs import runtime as obs
 from .parallel.cache import PlacedDesignCache
 from .parallel.jobs import resolve_jobs
 
-__all__ = ["OptimizationFramework", "default_frequency_grid"]
-
-
-def _characterize_one_wordlength(
-    device: FPGADevice,
-    w_data: int,
-    wl: int,
-    config: CharacterizationConfig,
-    seed: int,
-    cache_directory: str | None,
-    resilience: ResilienceSettings | None = None,
-) -> CharacterizationResult:
-    """Pool-friendly wrapper: one word-length's sweep, serial inside.
-
-    Runs at module level so it pickles; the outer fan-out already claims
-    the workers, so the inner sweep stays at ``jobs=1``.  The resilience
-    policy ships explicitly — workers must not depend on the parent's
-    process-wide settings.
-    """
-    cache = PlacedDesignCache(cache_directory) if cache_directory else None
-    return characterize_multiplier(
-        device, w_data, wl, config, seed=seed, jobs=1, cache=cache,
-        resilience=resilience,
-    )
+__all__ = [
+    "OptimizationFramework",
+    "characterization_config",
+    "default_frequency_grid",
+    "fit_flow_area_model",
+    "train_test_split",
+]
 
 
 def default_frequency_grid(target_mhz: float) -> tuple[float, ...]:
@@ -83,6 +65,50 @@ def default_frequency_grid(target_mhz: float) -> tuple[float, ...]:
     return tuple(sorted(grid))
 
 
+def characterization_config(settings: TableISettings) -> CharacterizationConfig:
+    """The sweep configuration the flow derives from its settings.
+
+    The frequency grid brackets the target clock, every multiplicand is
+    enumerated (as in the paper), the sample count is Table I's (scaled),
+    and two placement anchors are characterised per word-length.
+    """
+    return CharacterizationConfig(
+        freqs_mhz=default_frequency_grid(settings.clock_frequency_mhz),
+        n_samples=settings.n_characterization,
+        n_locations=2,
+    )
+
+
+def train_test_split(
+    settings: TableISettings, seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The deterministic (train, test) data of the flow for ``seed``."""
+    x = low_rank_gaussian(
+        settings.p,
+        settings.k,
+        settings.n_train + settings.n_test,
+        np.random.default_rng(seed),
+        noise=0.02,
+    )
+    return x[:, : settings.n_train], x[:, settings.n_train :]
+
+
+def fit_flow_area_model(
+    device: FPGADevice, settings: TableISettings, seed: int, n_runs: int = 6
+) -> AreaModel:
+    """Fit the LE-cost model from ``n_runs`` synthesis runs per word-length."""
+    samples = collect_area_samples(
+        device,
+        settings.coeff_wordlengths,
+        w_data=settings.input_wordlength,
+        n_runs=n_runs,
+        seed=seed,
+    )
+    # A narrow word-length sweep cannot support the default quadratic.
+    degree = max(1, min(2, len(set(settings.coeff_wordlengths)) - 1))
+    return fit_area_model(samples, degree=degree)
+
+
 @dataclass
 class OptimizationFramework:
     """End-to-end per-device optimisation flow (paper Fig. 2).
@@ -94,9 +120,8 @@ class OptimizationFramework:
     settings:
         Case-study settings; defaults to the paper's Table I.
     char_config:
-        Characterisation sweep settings; ``None`` derives a default from
-        ``settings`` (full multiplicand enumeration, Table I sample count,
-        a frequency grid bracketing the target clock).
+        Characterisation sweep settings; ``None`` uses
+        :func:`characterization_config` of ``settings``.
     seed:
         Root seed of the whole flow.
     jobs:
@@ -108,10 +133,7 @@ class OptimizationFramework:
         evaluation; ``None`` uses the process-wide default.
     resilience:
         Retry/degradation policy for the characterisation sweeps;
-        ``None`` uses the process-wide settings.  After
-        :meth:`characterize`, :meth:`sweep_health` reports each
-        word-length's sweep status so callers can tell complete from
-        degraded data.
+        ``None`` uses the process-wide settings.
     """
 
     device: FPGADevice
@@ -123,113 +145,55 @@ class OptimizationFramework:
     resilience: ResilienceSettings | None = None
     _error_models: ErrorModelSet | None = field(default=None, repr=False)
     _area_model: AreaModel | None = field(default=None, repr=False)
-    _sweep_outcomes: dict = field(default_factory=dict, repr=False)
 
     # ------------------------------------------------------------------
-    def _characterization_config(self) -> CharacterizationConfig:
-        if self.char_config is not None:
-            return self.char_config
-        return CharacterizationConfig(
-            freqs_mhz=default_frequency_grid(self.settings.clock_frequency_mhz),
-            n_samples=self.settings.n_characterization,
-            multiplicands=None,  # full enumeration, as in the paper
-            n_locations=2,
-        )
-
-    def characterize(self, verbose: bool = False) -> ErrorModelSet:
+    def characterize(self) -> ErrorModelSet:
         """Characterise every word-length's multiplier geometry (cached).
 
-        With ``jobs > 1`` the per-word-length sweeps fan out over a
-        process pool (one word-length per worker — the sweeps are fully
-        independent); the numbers are identical to the serial order.
+        Each word-length's sweep runs through
+        :func:`~repro.characterization.harness.characterize_multiplier`
+        with this framework's ``jobs``, ``cache`` and ``resilience`` — the
+        same call :func:`repro.stages.characterize_workspace` makes, so the
+        error models equal a workspace's at any worker count.
         """
         if self._error_models is not None:
             return self._error_models
-        cfg = self._characterization_config()
-        wordlengths = list(self.settings.coeff_wordlengths)
+        cfg = (
+            self.char_config
+            if self.char_config is not None
+            else characterization_config(self.settings)
+        )
+        wordlengths = self.settings.coeff_wordlengths
         n_jobs = resolve_jobs(self.jobs)
         w_data = self.settings.input_wordlength
         with obs.span(
             "flow.characterize", wordlengths=len(wordlengths), jobs=n_jobs
         ), obs.profile_stage("characterize"):
-            if n_jobs > 1 and len(wordlengths) > 1:
-                cache_dir = (
-                    str(self.cache.directory)
-                    if self.cache is not None and self.cache.directory is not None
-                    else None
+            models: dict[int, ErrorModel] = {}
+            for wl in wordlengths:
+                result = characterize_multiplier(
+                    self.device,
+                    w_data,
+                    wl,
+                    cfg,
+                    seed=self.seed,
+                    jobs=n_jobs,
+                    cache=self.cache,
+                    resilience=self.resilience,
                 )
-                with ProcessPoolExecutor(
-                    max_workers=min(n_jobs, len(wordlengths))
-                ) as pool:
-                    results = list(
-                        pool.map(
-                            _characterize_one_wordlength,
-                            [self.device] * len(wordlengths),
-                            [w_data] * len(wordlengths),
-                            wordlengths,
-                            [cfg] * len(wordlengths),
-                            [self.seed] * len(wordlengths),
-                            [cache_dir] * len(wordlengths),
-                            [self.resilience] * len(wordlengths),
-                        )
-                    )
-            else:
-                results = []
-                for wl in wordlengths:
-                    if verbose:
-                        print(f"[characterize] {w_data}x{wl} ...")
-                    results.append(
-                        characterize_multiplier(
-                            self.device,
-                            w_data,
-                            wl,
-                            cfg,
-                            seed=self.seed,
-                            jobs=n_jobs,
-                            cache=self.cache,
-                            resilience=self.resilience,
-                        )
-                    )
-            self._sweep_outcomes = {
-                wl: result.outcome for wl, result in zip(wordlengths, results)
-            }
-            models: dict[int, ErrorModel] = {
-                wl: build_error_model(result)
-                for wl, result in zip(wordlengths, results)
-            }
+                models[wl] = build_error_model(result)
             self._error_models = ErrorModelSet(models)
         return self._error_models
 
-    def sweep_health(self) -> dict[int, str]:
-        """Per-word-length sweep status after :meth:`characterize`.
-
-        ``{wl: 'complete' | 'degraded'}`` — failed sweeps never get here
-        (they raise).  Word-lengths rehydrated from a workspace (no live
-        outcome) report ``'complete'``: their archives were gated on the
-        same policy when produced.
-        """
-        return {
-            wl: (outcome.status if outcome is not None else "complete")
-            for wl, outcome in self._sweep_outcomes.items()
-        }
-
     def fit_area_model(self, n_runs: int = 6) -> AreaModel:
         """Fit the LE-cost model from synthesis runs (cached)."""
-        if self._area_model is not None:
-            return self._area_model
-        with obs.span(
-            "flow.fit_area_model", n_runs=n_runs
-        ), obs.profile_stage("fit_area_model"):
-            samples = collect_area_samples(
-                self.device,
-                self.settings.coeff_wordlengths,
-                w_data=self.settings.input_wordlength,
-                n_runs=n_runs,
-                seed=self.seed,
-            )
-            # A narrow word-length sweep cannot support the default quadratic.
-            degree = min(2, len(set(self.settings.coeff_wordlengths)) - 1)
-            self._area_model = fit_area_model(samples, degree=max(1, degree))
+        if self._area_model is None:
+            with obs.span(
+                "flow.fit_area_model", n_runs=n_runs
+            ), obs.profile_stage("fit_area_model"):
+                self._area_model = fit_flow_area_model(
+                    self.device, self.settings, self.seed, n_runs
+                )
         return self._area_model
 
     # ------------------------------------------------------------------

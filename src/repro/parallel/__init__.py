@@ -13,8 +13,8 @@ Coordinated pieces (see ``docs/performance.md`` and ``docs/distributed.md``):
   sharding of characterisation sweeps, bit-identical to the serial path
   at any worker count and executor topology;
 * :mod:`repro.parallel.executors` — the pluggable :class:`ShardExecutor`
-  interface behind :func:`run_sweep` (``pool`` / ``serial`` /
-  ``file-queue``, selectable via ``REPRO_EXECUTOR`` or ``--executor``);
+  interface behind :func:`run_sweep` (``pool`` / ``file-queue``,
+  selectable via ``REPRO_EXECUTOR`` or ``--executor``);
 * :mod:`repro.parallel.spool` + :mod:`repro.parallel.worker` — the
   file-queue wire: atomic-rename shard leases in a spool directory and
   the stateless ``repro worker`` CLI that drains them;
@@ -45,7 +45,6 @@ _EXPORTS = (
     (".executors", (
         "FileQueueExecutor",
         "PoolExecutor",
-        "SerialExecutor",
         "ShardExecutor",
         "SweepContext",
         "executors_table_markdown",
@@ -83,7 +82,6 @@ __all__ = [
     "FileQueueExecutor",
     "PoolExecutor",
     "SanitizerViolation",
-    "SerialExecutor",
     "ShardExecutor",
     "SweepContext",
     "WorkerOutcome",

@@ -390,8 +390,8 @@ def run_sweep(
         unset variable injects nothing).
     executor:
         First-attempt execution strategy — a catalogue name (``pool``,
-        ``serial``, ``file-queue``), a constructed executor instance, or
-        ``None`` to consult ``REPRO_EXECUTOR`` (default ``pool``).
+        ``file-queue``), a constructed executor instance, or ``None`` to
+        consult ``REPRO_EXECUTOR`` (default ``pool``).
     """
     from .executors import resolve_executor  # local: executors imports engine
 
@@ -451,13 +451,13 @@ def _run_sweep_body(
     device: FPGADevice,
     plan: SweepPlan,
     shards: list[Shard],
-    jobs: int = 1,
-    cache: PlacedDesignCache | None = None,
-    resilience: ResilienceSettings | None = None,
-    faults: FaultPlan | None = None,
-    executor: "str | ShardExecutor | None" = None,
+    jobs: int,
+    cache: PlacedDesignCache | None,
+    resilience: ResilienceSettings | None,
+    faults: FaultPlan | None,
+    executor: "ShardExecutor",
 ) -> SweepOutcome:
-    from .executors import SweepContext, resolve_executor
+    from .executors import SweepContext
 
     if cache is None:
         cache = get_default_cache()
@@ -471,11 +471,11 @@ def _run_sweep_body(
     state = _SweepState(n)
 
     # ---- executor pass: first attempt of every shard ----------------
-    # Any shard the executor leaves unrecorded (serial executor, pool at
-    # jobs=1, abandoned pool, vanished worker fleet) simply gets its
-    # first attempt in the inline loop below.
+    # Any shard the executor leaves unrecorded (pool at jobs=1, abandoned
+    # pool, vanished worker fleet) simply gets its first attempt in the
+    # inline loop below.
     if n > 0:
-        resolve_executor(executor).run_pass(SweepContext(
+        executor.run_pass(SweepContext(
             device=device, plan=plan, shards=shards, jobs=jobs, cache=cache,
             settings=settings, faults=faults, injector=injector, state=state,
         ))

@@ -9,10 +9,7 @@ through the :class:`ShardExecutor` interface:
 ``pool``
     The default: fork a :class:`~concurrent.futures.ProcessPoolExecutor`
     and dispatch shards to it (no-op at ``jobs=1``, where the inline
-    loop simply performs the first attempts itself).
-``serial``
-    The reference executor: defers everything to the inline loop, i.e.
-    the exact ``jobs=1`` semantics regardless of ``jobs``.
+    loop — the reference path — performs the first attempts itself).
 ``file-queue``
     A coordinator that spools DX009-frozen shard descriptors into a
     directory (:mod:`repro.parallel.spool`) and spawns N stateless
@@ -22,7 +19,7 @@ through the :class:`ShardExecutor` interface:
     ledger.  Workers are separately spawnable and host-agnostic: any
     process that can see the spool directory can drain it.
 
-The project invariant holds across all three: shard numerics are pure in
+The project invariant holds across both: shard numerics are pure in
 ``(device, plan, shard)`` with pre-drawn stimulus, so artefacts are
 byte-identical for any executor, worker count, or worker join/leave
 timing — the executor only moves wall-clock around.
@@ -63,7 +60,6 @@ from .retry import ATTEMPT_ERROR, ATTEMPT_OK
 __all__ = [
     "FileQueueExecutor",
     "PoolExecutor",
-    "SerialExecutor",
     "ShardExecutor",
     "SweepContext",
     "executors_table_markdown",
@@ -105,21 +101,6 @@ class ShardExecutor(ABC):
     @abstractmethod
     def run_pass(self, ctx: SweepContext) -> None:
         """Run the first attempt of every shard this executor covers."""
-
-
-class SerialExecutor(ShardExecutor):
-    """Reference executor: everything runs in the engine's inline loop.
-
-    ``run_pass`` is deliberately a no-op — the inline loop performs first
-    attempts for any shard without a recorded attempt, which at this
-    point is all of them.  This is byte-for-byte the ``jobs=1`` path and
-    the ground truth the other executors are diffed against.
-    """
-
-    name = "serial"
-
-    def run_pass(self, ctx: SweepContext) -> None:
-        return None
 
 
 class PoolExecutor(ShardExecutor):
@@ -409,8 +390,6 @@ def resolve_executor(spec: "str | ShardExecutor | None") -> ShardExecutor:
         spec = os.environ.get(REPRO_EXECUTOR_ENV) or "pool"
     if spec == "pool":
         return PoolExecutor()
-    if spec == "serial":
-        return SerialExecutor()
     if spec == "file-queue":
         return FileQueueExecutor()
     raise ConfigError(

@@ -82,14 +82,8 @@ EXECUTOR_CATALOG: tuple[ExecutorInfo, ...] = (
         "one host, N forked processes",
         "Default.  First attempts fan out over a `ProcessPoolExecutor`; "
         "timeouts or a broken pool degrade the sweep to the inline loop. "
-        "No-op at `jobs=1`.",
-    ),
-    ExecutorInfo(
-        "serial",
-        "one host, one process",
-        "Reference semantics: every attempt runs in the engine's inline "
-        "loop (`jobs=1` behaviour regardless of `jobs`) — the ground "
-        "truth other executors are byte-diffed against.",
+        "At `jobs=1` every attempt runs in the inline loop, the reference "
+        "the other topologies are byte-diffed against.",
     ),
     ExecutorInfo(
         "file-queue",

@@ -22,15 +22,20 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .characterization.harness import CharacterizationConfig, characterize_multiplier
+from .characterization.harness import characterize_multiplier
 from .circuits.domains import Domain
-from .config import ResilienceSettings, TableISettings
+from .config import ResilienceSettings
 from .core.design import LinearProjectionDesign
 from .core.optimizer import OptimizationResult
-from .datasets import low_rank_gaussian
+from .errors import ConfigError
 from .faults.plan import FaultPlan
-from .framework import default_frequency_grid
-from .models.area_model import AreaModel, collect_area_samples, fit_area_model
+from .framework import (
+    OptimizationFramework,
+    characterization_config,
+    fit_flow_area_model,
+    train_test_split,
+)
+from .models.area_model import AreaModel
 from .parallel.cache import PlacedDesignCache
 from .parallel.jobs import resolve_jobs
 from .workspace import Workspace
@@ -52,20 +57,6 @@ ProgressFn = Callable[[dict], None]
 def _emit(progress: ProgressFn | None, event: dict) -> None:
     if progress is not None:
         progress(event)
-
-
-def characterization_config(settings: TableISettings) -> CharacterizationConfig:
-    """The sweep configuration the flow derives from workspace settings.
-
-    Single source of truth for both front ends: the frequency grid
-    brackets the target clock, the sample count is Table I's (scaled),
-    and two placement anchors are characterised per word-length.
-    """
-    return CharacterizationConfig(
-        freqs_mhz=default_frequency_grid(settings.clock_frequency_mhz),
-        n_samples=settings.n_characterization,
-        n_locations=2,
-    )
 
 
 def characterize_workspace(
@@ -137,17 +128,8 @@ def fit_area_workspace(
     progress: ProgressFn | None = None,
 ) -> tuple[AreaModel, Path]:
     """Fit and archive the LE-cost model from synthesis samples."""
-    settings = ws.settings()
     _emit(progress, {"stage": "fit_area", "event": "fit.start", "n_runs": n_runs})
-    samples = collect_area_samples(
-        ws.device(),
-        settings.coeff_wordlengths,
-        w_data=settings.input_wordlength,
-        n_runs=n_runs,
-        seed=ws.seed(),
-    )
-    degree = max(1, min(2, len(set(settings.coeff_wordlengths)) - 1))
-    model = fit_area_model(samples, degree=degree)
+    model = fit_flow_area_model(ws.device(), ws.settings(), ws.seed(), n_runs)
     path = ws.save_area_model(model)
     _emit(progress, {
         "stage": "fit_area",
@@ -160,15 +142,37 @@ def fit_area_workspace(
 
 def training_data(ws: Workspace) -> tuple[np.ndarray, np.ndarray]:
     """The deterministic (train, test) split derived from the workspace seed."""
-    settings = ws.settings()
-    x = low_rank_gaussian(
-        settings.p,
-        settings.k,
-        settings.n_train + settings.n_test,
-        np.random.default_rng(ws.seed()),
-        noise=0.02,
+    return train_test_split(ws.settings(), ws.seed())
+
+
+def _archived_framework(
+    ws: Workspace,
+    jobs: int | None,
+    cache: PlacedDesignCache | None,
+    need_area_model: bool,
+) -> OptimizationFramework:
+    """The workspace's framework, refusing artefacts that were never archived.
+
+    A framework with missing error models or area model would rebuild
+    them in memory, unsaved, behind the caller's back; the earlier stage
+    has to run first instead.
+    """
+    missing = sorted(
+        set(ws.settings().coeff_wordlengths) - set(ws.characterized_wordlengths())
     )
-    return x[:, : settings.n_train], x[:, settings.n_train :]
+    if missing:
+        raise ConfigError(
+            f"workspace {ws.root} has no characterisation for word-lengths "
+            f"{missing}; run `repro-flow characterize` first"
+        )
+    if need_area_model and not ws.area_model_path.exists():
+        raise ConfigError(
+            f"workspace {ws.root} has no area model; run `repro-flow fit-area` first"
+        )
+    fw = ws.framework(jobs=resolve_jobs(jobs))
+    if cache is not None:
+        fw.cache = cache
+    return fw
 
 
 def optimize_workspace(
@@ -181,9 +185,7 @@ def optimize_workspace(
 ) -> tuple[OptimizationResult, Path]:
     """Run Algorithm 1 on the workspace's training data; archive the designs."""
     _emit(progress, {"stage": "optimize", "event": "optimize.start", "beta": beta})
-    fw = ws.framework(jobs=resolve_jobs(jobs))
-    if cache is not None:
-        fw.cache = cache
+    fw = _archived_framework(ws, jobs, cache, need_area_model=True)
     x_train, _ = training_data(ws)
     result = fw.optimize(x_train, beta=beta)
     path = ws.save_design_set(name, result.designs)
@@ -210,11 +212,9 @@ def evaluate_workspace(
     Returns one row dict per design, sorted by area — the CLI renders
     them as a table, the server ships them back as the job result.
     """
-    fw = ws.framework(jobs=resolve_jobs(jobs))
-    if cache is not None:
-        fw.cache = cache
-    _, x_test = training_data(ws)
     designs: Sequence[LinearProjectionDesign] = ws.load_design_set(name)
+    fw = _archived_framework(ws, jobs, cache, need_area_model=False)
+    _, x_test = training_data(ws)
     rows: list[dict] = []
     for d in sorted(designs, key=lambda d: d.area_le or 0):
         _emit(progress, {

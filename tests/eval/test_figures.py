@@ -12,7 +12,7 @@ from repro.eval.context import ExperimentContext
 
 @pytest.fixture(scope="module")
 def ctx():
-    return ExperimentContext.get(seed=42, scale=0.02, n_char_locations=1)
+    return ExperimentContext.get(seed=42, scale=0.02)
 
 
 class TestFig1:

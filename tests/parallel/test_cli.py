@@ -147,21 +147,21 @@ class TestFlowExecutorFlag:
         assert flow_main(["init", str(ws), "--serial", "7", "--scale", "0.012"]) == 0
         return ws
 
-    def test_serial_executor_matches_default(self, tmp_path, capsys):
+    def test_pool_executor_matches_default(self, tmp_path, capsys):
         default_ws = tmp_path / "default_ws"
-        serial_ws = tmp_path / "serial_ws"
-        for ws in (default_ws, serial_ws):
+        pool_ws = tmp_path / "pool_ws"
+        for ws in (default_ws, pool_ws):
             assert flow_main(
                 ["init", str(ws), "--serial", "7", "--scale", "0.012"]
             ) == 0
         assert flow_main(["characterize", str(default_ws)]) == 0
         assert flow_main(
-            ["characterize", str(serial_ws), "--executor", "serial"]
+            ["characterize", str(pool_ws), "--executor", "pool", "--jobs", "2"]
         ) == 0
         default_npz = sorted((default_ws / "characterization").glob("wl*.npz"))
-        serial_npz = sorted((serial_ws / "characterization").glob("wl*.npz"))
-        assert default_npz and len(default_npz) == len(serial_npz)
-        for a, b in zip(default_npz, serial_npz):
+        pool_npz = sorted((pool_ws / "characterization").glob("wl*.npz"))
+        assert default_npz and len(default_npz) == len(pool_npz)
+        for a, b in zip(default_npz, pool_npz):
             assert a.read_bytes() == b.read_bytes()
 
     def test_unknown_env_executor_is_a_config_error(

@@ -3,8 +3,8 @@
 The headline guarantee of the distributed fabric: artefacts are
 byte-identical across executor choice, worker count and worker
 join/leave timing.  The chaos tests kill and stall file-queue workers
-mid-shard and demand the stale-lease requeue path reproduce the serial
-grids bit for bit.
+mid-shard and demand the stale-lease requeue path reproduce the inline
+(``jobs=1``) grids bit for bit.
 """
 
 import numpy as np
@@ -17,7 +17,6 @@ from repro.parallel import spool
 from repro.parallel.executors import (
     FileQueueExecutor,
     PoolExecutor,
-    SerialExecutor,
     executors_table_markdown,
     resolve_executor,
 )
@@ -38,12 +37,11 @@ class TestResolveExecutor:
         assert isinstance(resolve_executor(None), PoolExecutor)
 
     def test_env_names_the_default(self, monkeypatch):
-        monkeypatch.setenv(REPRO_EXECUTOR_ENV, "serial")
-        assert isinstance(resolve_executor(None), SerialExecutor)
+        monkeypatch.setenv(REPRO_EXECUTOR_ENV, "file-queue")
+        assert isinstance(resolve_executor(None), FileQueueExecutor)
 
     @pytest.mark.parametrize("name,cls", [
         ("pool", PoolExecutor),
-        ("serial", SerialExecutor),
         ("file-queue", FileQueueExecutor),
     ])
     def test_names_resolve(self, name, cls):
@@ -58,7 +56,7 @@ class TestResolveExecutor:
             resolve_executor("redis")
 
     def test_catalogue_names_match_resolver(self):
-        assert EXECUTOR_NAMES == ("pool", "serial", "file-queue")
+        assert EXECUTOR_NAMES == ("pool", "file-queue")
         for name in EXECUTOR_NAMES:
             assert resolve_executor(name).name == name
 
@@ -113,7 +111,7 @@ class TestExecutorByteIdentity:
     def test_all_executors_reproduce_serial_grids(self, device, small_char_config):
         cfg = small_char_config()
         reference = characterize_multiplier(
-            device, 8, 8, cfg, seed=3, jobs=1, executor="serial"
+            device, 8, 8, cfg, seed=3, jobs=1
         )
         for executor in ("pool", FileQueueExecutor(workers=2)):
             other = characterize_multiplier(
@@ -141,7 +139,7 @@ class TestFileQueueChaos:
     def test_worker_kill_mid_shard_is_requeued(self, device, small_char_config):
         cfg = small_char_config()
         reference = characterize_multiplier(
-            device, 8, 8, cfg, seed=3, executor="serial"
+            device, 8, 8, cfg, seed=3, jobs=1
         )
         faults = FaultPlan(
             specs=(FaultSpec(kind="worker-exit", li=0, start=4, times=1),),
@@ -162,7 +160,7 @@ class TestFileQueueChaos:
     def test_stalled_lease_is_requeued(self, device, small_char_config):
         cfg = small_char_config()
         reference = characterize_multiplier(
-            device, 8, 8, cfg, seed=3, executor="serial"
+            device, 8, 8, cfg, seed=3, jobs=1
         )
         faults = FaultPlan(
             specs=(FaultSpec(kind="lease-stall", li=1, start=0, times=1),),
@@ -186,7 +184,7 @@ class TestFileQueueChaos:
         )
         reference = characterize_multiplier(device, 8, 8, cfg, seed=3)
         inert = characterize_multiplier(
-            device, 8, 8, cfg, seed=3, executor="serial", faults=faults
+            device, 8, 8, cfg, seed=3, jobs=1, faults=faults
         )
         assert _grid_bytes(inert) == _grid_bytes(reference)
         assert inert.outcome.status == "complete"

@@ -51,6 +51,18 @@ class TestBasicOps:
         assert done["exit_code"] == 2
         assert "initialise" in done["error"]
 
+    def test_optimize_before_characterize_fails_with_exit_2(
+        self, tmp_path, serve_factory
+    ):
+        _, client = serve_factory()
+        ws = make_workspace(tmp_path / "ws")
+        job = client.submit("tenant-a", "optimize", ws.root)
+        done = client.wait(job["job_id"], timeout_s=30.0)
+        assert done["state"] == FAILED
+        assert done["exit_code"] == 2
+        assert "no characterisation for word-lengths" in done["error"]
+        assert ws.design_sets() == []
+
     def test_progress_streams_stage_events(self, tmp_path, serve_factory):
         _, client = serve_factory()
         ws = make_workspace(tmp_path / "ws")

@@ -63,20 +63,29 @@ def test_no_directly_mutable_field_default(cls):
 
 def _constructible(cls):
     try:
-        return cls(), cls()
+        cls(), cls()
     except Exception:
-        return None
+        return False
+    return True
+
+
+#: The dataclasses whose every field has a default, chosen at collection
+#: time so classes that need arguments are not collected as skips.
+CONSTRUCTIBLE_DATACLASSES = [c for c in ALL_DATACLASSES if _constructible(c)]
+
+
+def test_some_dataclasses_are_no_arg_constructible():
+    # Canary for the parametrisation below, like the walk canary above.
+    names = {c.__qualname__ for c in CONSTRUCTIBLE_DATACLASSES}
+    assert {"TableISettings", "ResilienceSettings"} <= names
 
 
 @pytest.mark.parametrize(
-    "cls", ALL_DATACLASSES, ids=lambda c: f"{c.__module__}.{c.__qualname__}"
+    "cls", CONSTRUCTIBLE_DATACLASSES, ids=lambda c: f"{c.__module__}.{c.__qualname__}"
 )
 def test_factory_fields_are_isolated_per_instance(cls):
     """Two no-arg instances must not alias any mutable field value."""
-    pair = _constructible(cls)
-    if pair is None:
-        pytest.skip("not no-arg constructible")
-    a, b = pair
+    a, b = cls(), cls()
     for f in dataclasses.fields(cls):
         va, vb = getattr(a, f.name, None), getattr(b, f.name, None)
         if isinstance(va, _MUTABLE_TYPES):

@@ -4,11 +4,19 @@ import numpy as np
 import pytest
 
 from repro.characterization import CharacterizationConfig, characterize_multiplier
+from repro.circuits.domains import Domain
 from repro.config import TableISettings
 from repro.core.klt import klt_reference_design
 from repro.datasets import low_rank_gaussian
-from repro.errors import ConfigError
+from repro.errors import ConfigError, DesignError
+from repro.framework import OptimizationFramework
 from repro.models.area_model import collect_area_samples, fit_area_model
+from repro.stages import (
+    characterize_workspace,
+    evaluate_workspace,
+    fit_area_workspace,
+    optimize_workspace,
+)
 from repro.workspace import Workspace
 
 SETTINGS = TableISettings(
@@ -106,6 +114,55 @@ class TestFrameworkRehydration:
         assert fw.fit_area_model().wl_range == (3, 4)
 
 
+class TestOneCharacterisationPath:
+    def test_framework_pool_matches_workspace_stages(self, ws, device):
+        """The framework at ``jobs=2`` and the stages at ``jobs=1`` run the
+        same sweeps and the same area fit, so their models are equal."""
+        characterize_workspace(ws, jobs=1)
+        archived, _ = fit_area_workspace(ws, n_runs=3)
+        fw = OptimizationFramework(device, SETTINGS, seed=3, jobs=2)
+        live = fw.characterize()
+        stored = ws.load_error_models()
+        assert live.wordlengths == stored.wordlengths == SETTINGS.coeff_wordlengths
+        for wl in SETTINGS.coeff_wordlengths:
+            a, b = live.model(wl), stored.model(wl)
+            for name in ("multiplicands", "freqs_mhz", "variance", "mean"):
+                assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+        area = fw.fit_area_model(n_runs=3)
+        assert area.coeffs.tobytes() == archived.coeffs.tobytes()
+        assert area.residual_sigma == archived.residual_sigma
+        assert (area.wl_range, area.n_samples) == (
+            archived.wl_range, archived.n_samples
+        )
+
+
+class TestStagePrerequisites:
+    """Later stages refuse to rebuild missing artefacts in memory."""
+
+    def test_optimize_needs_every_characterised_wordlength(self, ws, device):
+        cfg = CharacterizationConfig(freqs_mhz=(400.0,), n_samples=20, n_locations=1)
+        ws.save_characterization(3, characterize_multiplier(device, 9, 3, cfg, seed=3))
+        with pytest.raises(ConfigError, match=r"word-lengths \[4\]"):
+            optimize_workspace(ws, "run1", 4.0)
+        assert ws.design_sets() == []
+
+    def test_optimize_needs_the_area_model(self, ws):
+        characterize_workspace(ws, jobs=1)
+        with pytest.raises(ConfigError, match="no area model"):
+            optimize_workspace(ws, "run1", 4.0)
+
+    def test_evaluate_checks_the_design_set_first(self, ws):
+        with pytest.raises(DesignError):
+            evaluate_workspace(ws, "run1", Domain.PREDICTED)
+
+    def test_evaluate_needs_the_characterisation(self, ws, device):
+        ws.save_design_set("klt", [klt_reference_design(
+            low_rank_gaussian(6, 3, 30, np.random.default_rng(0)), 3, 3, 9, 310.0
+        )])
+        with pytest.raises(ConfigError, match=r"word-lengths \[3, 4\]"):
+            evaluate_workspace(ws, "klt", Domain.PREDICTED)
+
+
 class TestFlowCli:
     def test_end_to_end_flow(self, tmp_path, capsys):
         from repro.cli_flow import main
@@ -124,6 +181,19 @@ class TestFlowCli:
         assert main(["status", ws]) == 0
         out = capsys.readouterr().out
         assert "t1" in out
+
+    def test_optimize_before_characterize_exits_2(self, tmp_path, capsys):
+        from repro.cli_flow import main
+
+        ws = str(tmp_path / "ws")
+        assert main(["init", ws, "--serial", "7", "--scale", "0.012"]) == 0
+        assert main(["optimize", ws, "--beta", "4", "--name", "run1"]) == 2
+        err = capsys.readouterr().err
+        assert "no characterisation for word-lengths [3, 4, 5, 6, 7, 8, 9]" in err
+        assert main(["status", ws]) == 0
+        out = capsys.readouterr().out
+        assert "characterised word-lengths: none" in out
+        assert "design sets: none" in out
 
 
 class TestSharedWorkspace:
